@@ -211,7 +211,7 @@ impl Histogram {
 
     /// Estimated `q`-quantile (`0 < q <= 1`) by linear interpolation
     /// within the owning bucket, Prometheus `histogram_quantile`
-    /// style.
+    /// style, never above the largest observed sample.
     ///
     /// Exact semantics, pinned by tests:
     /// * an empty histogram returns `0.0`;
@@ -219,11 +219,18 @@ impl Histogram {
     ///   least 1;
     /// * within a bucket `(lower, upper]` holding `c` samples of
     ///   which the rank is the `r`-th, the estimate is
-    ///   `lower + (upper - lower) * r / c` — so a quantile that lands
-    ///   exactly on a bucket's last sample returns that bucket's
-    ///   upper bound;
+    ///   `lower + (upper - lower) * r / c`, clamped to [`max`] — so a
+    ///   quantile that lands exactly on a bucket's last sample
+    ///   returns that bucket's upper bound, unless no sample reached
+    ///   it, in which case it returns the observed max;
     /// * quantiles falling in the overflow bucket saturate to the
     ///   largest observed sample.
+    ///
+    /// The clamp keeps every quantile `<= max()`: interpolation alone
+    /// assumes samples spread across the whole bucket, which
+    /// overstates a tail that stops short of the bucket's bound.
+    ///
+    /// [`max`]: Histogram::max
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {
@@ -240,7 +247,7 @@ impl Histogram {
                 let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
                 let upper = self.bounds[i];
                 let r = (rank - before) as f64;
-                return lower + (upper - lower) * r / c as f64;
+                return (lower + (upper - lower) * r / c as f64).min(self.max());
             }
             before += c;
         }
@@ -335,12 +342,35 @@ mod tests {
         assert_eq!(h.quantile(0.50), 10.0);
         // p75 → rank 3 → 1st of 2 samples in (10,20] → 10 + 10*(1/2).
         assert_eq!(h.quantile(0.75), 15.0);
-        // p100 → rank 4 → 2nd of 2 in (10,20] → upper bound 20.
+        // p100 → rank 4 → 2nd of 2 in (10,20] → upper bound 20,
+        // clamped to the observed max 15.
+        assert_eq!(h.quantile(1.0), 15.0);
+        // A bucket's upper bound is reported when a sample reached it.
+        h.record(20.0);
         assert_eq!(h.quantile(1.0), 20.0);
-        // A single-sample histogram reports its bucket's upper bound.
+        // A single-sample histogram reports that sample, not its
+        // bucket's upper bound.
         let one = Histogram::new(&[10.0, 20.0]);
         one.record(12.0);
-        assert_eq!(one.quantile(0.5), 20.0);
+        assert_eq!(one.quantile(0.5), 12.0);
+    }
+
+    proptest::proptest! {
+        /// No quantile exceeds the largest observed sample, for
+        /// samples below, inside and beyond the finite buckets.
+        #[test]
+        fn quantile_never_exceeds_max(
+            len in 0usize..64, seed in 0u64..u64::MAX, top in 0.5f64..1e4, q in 0.0f64..=1.0,
+        ) {
+            let h = Histogram::exponential(1.0, 2.0, 12);
+            let mut rng = proptest::TestRng::from_label(&seed.to_string());
+            let samples: Vec<f64> =
+                (0..len).map(|_| rng.unit_f64() * (top + 10.0) - 10.0).collect();
+            for &v in &samples {
+                h.record(v);
+            }
+            proptest::prop_assert!(h.quantile(q) <= h.max(), "q {} of {:?}", q, samples);
+        }
     }
 
     #[test]

@@ -389,6 +389,7 @@ mod tests {
         };
         assert_eq!(get("kind"), Value::String("histogram".into()));
         assert_eq!(get("count"), Value::Number(1.0));
-        assert_eq!(get("p50"), Value::Number(1.0));
+        // The bucket interpolation (1.0) is clamped to the one sample.
+        assert_eq!(get("p50"), Value::Number(0.5));
     }
 }

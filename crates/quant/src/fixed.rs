@@ -18,6 +18,20 @@ use crate::qtensor::saturate_i32;
 /// the multiplier always fits 16 bits.
 pub const BETA_FRAC_BITS: u32 = 15;
 
+/// `round(wide / 2^shift)`, rounding half away from zero; `wide` is
+/// the product of two `i32`s (so `|wide| <= 2^62`) and `shift <= 62`.
+///
+/// Branch-free: the magnitude is shifted and the sign put back with
+/// two's-complement masks, and `shift == 0` needs no special case
+/// because its rounding term is zero.
+#[inline]
+fn round_shift(wide: i64, shift: u32) -> i64 {
+    let sign = wide >> 63;
+    let half = (1i64 << shift) >> 1;
+    let mag = ((wide ^ sign) - sign + half) >> shift;
+    (mag ^ sign) - sign
+}
+
 /// A positive real factor `r` encoded as `mult / 2^shift`, applied to
 /// `i32` accumulators with rounding and a single saturating cast.
 ///
@@ -74,18 +88,12 @@ impl Rescale {
     /// The widening product of two `i32`s plus the rounding term fits
     /// `i64` exactly, so the only lossy operation is the final
     /// saturating narrow.
+    #[inline]
     pub fn apply(&self, acc: i32) -> i32 {
-        let wide = acc as i64 * self.mult as i64;
-        let rounded = if self.shift == 0 {
-            wide
-        } else {
-            // Round half away from zero so +x and -x rescale to
-            // mirrored values; plain `+ half` would bias negatives
-            // toward +inf by one ulp.
-            let half = 1i64 << (self.shift - 1);
-            if wide >= 0 { (wide + half) >> self.shift } else { -((-wide + half) >> self.shift) }
-        };
-        saturate_i32(rounded)
+        // Round half away from zero so +x and -x rescale to mirrored
+        // values; plain `+ half` would bias negatives toward +inf by
+        // one ulp.
+        saturate_i32(round_shift(acc as i64 * self.mult as i64, self.shift))
     }
 
     /// The real factor this encodes (for diagnostics and tests).
@@ -172,30 +180,38 @@ impl FixedLif {
     ///
     /// Rounds half away from zero (matching [`Rescale::apply`]) so
     /// decay is symmetric around zero.
+    #[inline]
     pub fn leak(&self, m: i32) -> i32 {
-        let wide = m as i64 * self.beta_mult as i64;
-        let r = if self.beta_shift == 0 {
-            wide
-        } else {
-            let half = 1i64 << (self.beta_shift - 1);
-            if wide >= 0 { (wide + half) >> self.beta_shift } else { -((-wide + half) >> self.beta_shift) }
-        };
-        saturate_i32(r)
+        saturate_i32(round_shift(m as i64 * self.beta_mult as i64, self.beta_shift))
     }
 
     /// One membrane update: previous potential, previous output
     /// spike, and the Q`frac_bits` input current (already including
     /// any bias). Returns `(new_potential, spike)`.
     pub fn step(&self, m_prev: i32, spiked_prev: bool, current_q: i64) -> (i32, bool) {
-        let decayed = match self.reset {
-            ResetMode::Subtract => {
-                let reset = if spiked_prev { self.theta_q as i64 } else { 0 };
-                self.leak(m_prev) as i64 + current_q - reset
-            }
-            ResetMode::Zero => {
-                let kept = if spiked_prev { 0 } else { self.leak(m_prev) as i64 };
-                kept + current_q
-            }
+        match self.reset {
+            ResetMode::Subtract => self.step_as::<false>(m_prev, spiked_prev, current_q),
+            ResetMode::Zero => self.step_as::<true>(m_prev, spiked_prev, current_q),
+        }
+    }
+
+    /// [`FixedLif::step`] with the reset mode fixed at compile time
+    /// (`ZERO_RESET` selects [`ResetMode::Zero`]) and `self.reset`
+    /// ignored, so a loop over many neurons can resolve the mode once
+    /// outside the loop.
+    #[inline(always)]
+    pub(crate) fn step_as<const ZERO_RESET: bool>(
+        &self,
+        m_prev: i32,
+        spiked_prev: bool,
+        current_q: i64,
+    ) -> (i32, bool) {
+        let decayed = if ZERO_RESET {
+            let kept = if spiked_prev { 0 } else { self.leak(m_prev) as i64 };
+            kept + current_q
+        } else {
+            let reset = if spiked_prev { self.theta_q as i64 } else { 0 };
+            self.leak(m_prev) as i64 + current_q - reset
         };
         let u = saturate_i32(decayed);
         (u, u > self.theta_q)
@@ -253,6 +269,36 @@ mod tests {
         assert!(Rescale::from_real(f64::NAN).is_err());
         assert!(Rescale::from_real(-1.0).is_err());
         assert!(Rescale::from_real(3e9).is_err(), "beyond i32 multiplier range");
+    }
+
+    #[test]
+    fn round_shift_matches_exact_division() {
+        // Exact half-away-from-zero rounding of wide / 2^shift.
+        fn exact(wide: i64, shift: u32) -> i64 {
+            let d = 1i128 << shift;
+            let q = ((wide as i128).abs() * 2 + d) / (2 * d);
+            (if wide < 0 { -q } else { q }) as i64
+        }
+        let mut seed = 0x2545F4914F6CDD1Du64;
+        let mut wides: Vec<i64> = vec![0, 1, -1, 2, -2, 3, -3, i32::MAX as i64, i32::MIN as i64];
+        let extreme = i32::MIN as i64 * i32::MIN as i64;
+        wides.extend([extreme, -extreme + 1, extreme - 1]);
+        for _ in 0..2000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            // Products of two i32s span |wide| <= 2^62.
+            wides.push((seed as i64) >> 1 >> (seed % 62));
+        }
+        for &wide in &wides {
+            for shift in 0..=62 {
+                // Near-ties too: wide plus half a step, kept in range.
+                let tie = wide + ((1i64 << shift) >> 1);
+                for w in [wide, tie].into_iter().filter(|w| w.unsigned_abs() <= 1 << 62) {
+                    assert_eq!(round_shift(w, shift), exact(w, shift), "{w} >> {shift}");
+                }
+            }
+        }
     }
 
     #[test]

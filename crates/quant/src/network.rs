@@ -11,7 +11,25 @@
 //! Every kernel in the loop is exact integer arithmetic with
 //! order-independent sums, so outputs are bit-identical across thread
 //! counts and across the dense/event convolution routes.
+//!
+//! **Once per batch versus per timestep.** Inputs are direct-coded:
+//! the same quantized frame is presented at every timestep. Every
+//! stage before the first spiking stage (pools and flattens of the
+//! input; none in the paper topology) therefore produces the same
+//! output at every step, and the first spiking stage (conv1) the same
+//! i32 accumulators. Those run once, at `t = 0`, and stay in their
+//! buffers; only that stage's rescale + LIF pass, which depends on the
+//! membrane state, runs per timestep. Every later stage reads spikes
+//! that change with time and runs in full every step. The reuse is
+//! exact, not an approximation: the skipped work would recompute the
+//! same integers from the same inputs.
+//!
+//! The rescale + LIF pass walks one `[item, channel]` row at a time,
+//! loading that channel's rescale and bias once per row and resolving
+//! the reset mode before any loop, so the per-neuron work is the
+//! requantize and the membrane step alone.
 
+use snn_core::ResetMode;
 use snn_tensor::conv::Conv2dGeometry;
 use snn_tensor::par;
 use snn_tensor::pool::Pool2dGeometry;
@@ -76,6 +94,11 @@ pub struct QuantNetwork {
     bits: u32,
     stages: Vec<RunStage>,
     meta: Vec<StageMeta>,
+    /// Index of the first spiking stage (`stages.len()` if none).
+    /// Every stage before it is a pool or flatten of the input, so
+    /// under direct coding their outputs and this stage's
+    /// accumulators are the same at every timestep.
+    first_spiking: usize,
     /// Per-stage output activations, `[n, item_len]` each; kept
     /// outside [`RunStage`] so stage `i` can read stage `i-1`'s
     /// output while writing its own. The previous timestep's content
@@ -148,6 +171,7 @@ impl QuantNetwork {
             }
         }
         let outs = vec![Vec::new(); stages.len()];
+        let first_spiking = meta.iter().position(|m| m.spiking).unwrap_or(meta.len());
         Ok(QuantNetwork {
             input_item_dims: snap.input_item_dims.clone(),
             classes: snap.classes,
@@ -156,6 +180,7 @@ impl QuantNetwork {
             bits: snap.bits,
             stages,
             meta,
+            first_spiking,
             outs,
             qinput: Vec::new(),
         })
@@ -222,23 +247,32 @@ impl QuantNetwork {
         }
         let mut counts = vec![0u32; n * self.classes];
         let last = self.stages.len() - 1;
-        for _t in 0..timesteps {
+        for t in 0..timesteps {
             for i in 0..self.stages.len() {
+                // Time-invariant work runs at t = 0 only: the static
+                // prefix's outputs and the first spiking stage's
+                // accumulators stay in their buffers for later steps.
+                let fresh = t == 0 || i > self.first_spiking;
                 let (done, rest) = self.outs.split_at_mut(i);
                 let x: &[u8] = if i == 0 { &self.qinput } else { &done[i - 1] };
                 let out = &mut rest[0];
                 match &mut self.stages[i] {
                     RunStage::Conv { geom, w, wt, bias_q, rescale, lif, scratch, acc, mem } => {
-                        qconv2d_forward_routed(geom, x, n, w, wt, acc, scratch);
+                        if fresh {
+                            qconv2d_forward_routed(geom, x, n, w, wt, acc, scratch);
+                        }
                         let plane = geom.out_h() * geom.out_w();
                         lif_pass(acc, mem, out, bias_q, rescale, lif, plane);
                     }
                     RunStage::Dense { wt, in_len, out_n, bias_q, rescale, lif, acc, mem } => {
-                        qlinear_into(x, wt, acc, n, *in_len, *out_n);
+                        if fresh {
+                            qlinear_into(x, wt, acc, n, *in_len, *out_n);
+                        }
                         lif_pass(acc, mem, out, bias_q, rescale, lif, 1);
                     }
-                    RunStage::Pool { geom } => pool_pass(geom, x, out, n),
-                    RunStage::Flatten => out.copy_from_slice(x),
+                    RunStage::Pool { geom } if fresh => pool_pass(geom, x, out, n),
+                    RunStage::Flatten if fresh => out.copy_from_slice(x),
+                    RunStage::Pool { .. } | RunStage::Flatten => {}
                 }
                 observer(i, &self.meta[i].name, out, n);
                 if i == last {
@@ -340,12 +374,16 @@ pub fn classify_counts(counts: &[u32]) -> usize {
     best
 }
 
-/// Rescale + bias + fixed-point LIF over one stage's accumulators.
+/// Rescale + bias + fixed-point LIF over one stage's accumulators,
+/// one `[item, channel]` row of `plane` neurons at a time.
 ///
-/// Elementwise (each neuron touches only its own accumulator,
-/// membrane, and previous spike), so parallel chunking is bit-exact
-/// with the serial loop. `out` enters holding the previous timestep's
-/// spikes and leaves holding this timestep's.
+/// Each row loads its channel's rescale and bias once, and the reset
+/// mode is resolved before any loop, so the inner loop is the
+/// requantize and the membrane step alone. Elementwise (each neuron
+/// touches only its own accumulator, membrane, and previous spike),
+/// so splitting rows across workers is bit-exact with the serial
+/// loop. `out` enters holding the previous timestep's spikes and
+/// leaves holding this timestep's.
 fn lif_pass(
     acc: &[i32],
     mem: &mut [i32],
@@ -355,15 +393,36 @@ fn lif_pass(
     lif: &FixedLif,
     plane: usize,
 ) {
-    let item_len = bias_q.len() * plane;
-    par::for_each_block2(mem, 1, out, 1, par::min_granules_for(12), |i0, mblock, oblock| {
-        for (j, (m, s)) in mblock.iter_mut().zip(oblock.iter_mut()).enumerate() {
-            let idx = i0 + j;
-            let oc = (idx % item_len) / plane;
-            let current = rescale[oc].apply(acc[idx]) as i64 + bias_q[oc] as i64;
-            let (m_new, spike) = lif.step(*m, *s != 0, current);
-            *m = m_new;
-            *s = spike as u8;
+    match lif.reset {
+        ResetMode::Subtract => lif_rows::<false>(acc, mem, out, bias_q, rescale, lif, plane),
+        ResetMode::Zero => lif_rows::<true>(acc, mem, out, bias_q, rescale, lif, plane),
+    }
+}
+
+/// [`lif_pass`] for one reset mode, fixed at compile time.
+fn lif_rows<const ZERO_RESET: bool>(
+    acc: &[i32],
+    mem: &mut [i32],
+    out: &mut [u8],
+    bias_q: &[i32],
+    rescale: &[Rescale],
+    lif: &FixedLif,
+    plane: usize,
+) {
+    let channels = bias_q.len();
+    let min_rows = par::min_granules_for(12 * plane);
+    par::for_each_block2(mem, plane, out, plane, min_rows, |r0, mrows, orows| {
+        let rows = mrows.chunks_exact_mut(plane).zip(orows.chunks_exact_mut(plane));
+        for (row, (mrow, orow)) in (r0..).zip(rows) {
+            let oc = row % channels;
+            let (rs, bias) = (rescale[oc], bias_q[oc] as i64);
+            let arow = &acc[row * plane..(row + 1) * plane];
+            for ((m, s), &a) in mrow.iter_mut().zip(orow.iter_mut()).zip(arow) {
+                let current = rs.apply(a) as i64 + bias;
+                let (m_new, spike) = lif.step_as::<ZERO_RESET>(*m, *s != 0, current);
+                *m = m_new;
+                *s = spike as u8;
+            }
         }
     });
 }

@@ -15,9 +15,12 @@ use proptest::prelude::*;
 
 use snn_core::{LifConfig, NetworkSnapshot, ResetMode, SpikingNetwork};
 use snn_quant::{
-    calibrate, quantize_snapshot, saturate_i8, FixedLif, QuantNetwork, QuantizedTensor, Rescale,
+    calibrate, quantize_snapshot, saturate_i8, FixedLif, QuantNetwork, QuantStage,
+    QuantizedSnapshot, QuantizedTensor, Rescale,
 };
+use snn_tensor::conv::Conv2dGeometry;
 use snn_tensor::dispatch::with_event_density_threshold;
+use snn_tensor::pool::Pool2dGeometry;
 use snn_tensor::{par, Shape};
 
 fn lcg(seed: &mut u64) -> u64 {
@@ -168,6 +171,226 @@ proptest! {
         for other in &outputs[1..] {
             prop_assert_eq!(&outputs[0], other,
                 "thread/route combination changed the quantized output");
+        }
+    }
+}
+
+/// Per-item counts plus every stage's activations at every timestep,
+/// `acts[t][stage]` as `[n, item_len]`.
+type Trace = (Vec<u32>, Vec<Vec<Vec<u8>>>);
+
+/// A naive integer reference for [`QuantNetwork`], written from the
+/// artifact's raw fields alone: every stage is recomputed at every
+/// timestep, convolutions are direct taps over padded coordinates,
+/// pooling is a window max (an OR on binary spikes, an exact max on
+/// the level-coded input), and each neuron goes through
+/// [`Rescale::apply`] and [`FixedLif::step`] one at a time.
+fn reference(q: &QuantizedSnapshot, items: &[Vec<f32>], timesteps: usize) -> Trace {
+    let n = items.len();
+    let levels = q.input_levels as f32;
+    let inv_step = levels / q.input_max;
+    let input: Vec<u8> = items
+        .iter()
+        .flatten()
+        .map(|&v| (v * inv_step).round().clamp(0.0, levels) as u8)
+        .collect();
+    let out_len = |stage: &QuantStage| match stage {
+        QuantStage::Conv { geom, .. } => geom.out_channels * geom.out_h() * geom.out_w(),
+        QuantStage::Dense { weight, .. } => weight.channels,
+        QuantStage::Pool { geom, .. } => geom.channels * geom.out_h() * geom.out_w(),
+        QuantStage::Flatten { len, .. } => *len,
+    };
+    let mut mem: Vec<Vec<i32>> = q.stages.iter().map(|s| vec![0; n * out_len(s)]).collect();
+    let mut spikes: Vec<Vec<u8>> = q.stages.iter().map(|s| vec![0; n * out_len(s)]).collect();
+    let neuron = |lif: &FixedLif, rs: &Rescale, bias: i32, acc: i32, m: &mut i32, s: &mut u8| {
+        let (next, spike) = lif.step(*m, *s != 0, rs.apply(acc) as i64 + bias as i64);
+        *m = next;
+        *s = spike as u8;
+    };
+    let mut counts = vec![0u32; n * q.classes];
+    let mut acts = Vec::new();
+    for _ in 0..timesteps {
+        let mut x = input.clone();
+        let mut step = Vec::new();
+        for (si, stage) in q.stages.iter().enumerate() {
+            let len = out_len(stage);
+            let item_in = x.len() / n;
+            let y = match stage {
+                QuantStage::Conv { geom: g, weight, bias_q, rescale, lif, .. } => {
+                    let plane = g.out_h() * g.out_w();
+                    for b in 0..n {
+                        let xi = &x[b * item_in..(b + 1) * item_in];
+                        for (p, oc) in (0..g.out_channels * plane).map(|p| (p, p / plane)) {
+                            let acc = conv_tap_sum(g, &weight.values, xi, oc, p % plane);
+                            let idx = b * len + p;
+                            let (m, s) = (&mut mem[si][idx], &mut spikes[si][idx]);
+                            neuron(lif, &rescale[oc], bias_q[oc], acc, m, s);
+                        }
+                    }
+                    spikes[si].clone()
+                }
+                QuantStage::Dense { weight, bias_q, rescale, lif, .. } => {
+                    for b in 0..n {
+                        let xi = &x[b * item_in..(b + 1) * item_in];
+                        for o in 0..weight.channels {
+                            let per = weight.per_channel;
+                            let row = &weight.values[o * per..(o + 1) * per];
+                            let acc: i32 =
+                                xi.iter().zip(row).map(|(&v, &w)| v as i32 * w as i32).sum();
+                            let idx = b * len + o;
+                            let (m, s) = (&mut mem[si][idx], &mut spikes[si][idx]);
+                            neuron(lif, &rescale[o], bias_q[o], acc, m, s);
+                        }
+                    }
+                    spikes[si].clone()
+                }
+                QuantStage::Pool { geom: g, .. } => {
+                    let plane = g.out_h() * g.out_w();
+                    let mut y = vec![0u8; n * len];
+                    for b in 0..n {
+                        let xi = &x[b * item_in..(b + 1) * item_in];
+                        for p in 0..g.channels * plane {
+                            y[b * len + p] = pool_max(g, xi, p / plane, p % plane);
+                        }
+                    }
+                    y
+                }
+                QuantStage::Flatten { .. } => x.clone(),
+            };
+            step.push(y.clone());
+            x = y;
+        }
+        for (c, &s) in counts.iter_mut().zip(&x) {
+            *c += s as u32;
+        }
+        acts.push(step);
+    }
+    (counts, acts)
+}
+
+/// One output position's raw accumulator: direct taps over padded
+/// coordinates, weights laid out `[oc][ic][ky][kx]`.
+fn conv_tap_sum(g: &Conv2dGeometry, w: &[i8], xi: &[u8], oc: usize, pos: usize) -> i32 {
+    let (oy, ox, k) = (pos / g.out_w(), pos % g.out_w(), g.kernel);
+    let taps = &w[oc * g.col_rows()..(oc + 1) * g.col_rows()];
+    let mut acc = 0i32;
+    for ic in 0..g.in_channels {
+        for ky in 0..k {
+            for kx in 0..k {
+                let iy = (oy * g.stride + ky) as isize - g.padding as isize;
+                let ix = (ox * g.stride + kx) as isize - g.padding as isize;
+                if iy < 0 || ix < 0 || iy >= g.in_h as isize || ix >= g.in_w as isize {
+                    continue;
+                }
+                let v = xi[(ic * g.in_h + iy as usize) * g.in_w + ix as usize];
+                acc += v as i32 * taps[(ic * k + ky) * k + kx] as i32;
+            }
+        }
+    }
+    acc
+}
+
+/// One pooled output: the window max (an OR on binary spikes).
+fn pool_max(g: &Pool2dGeometry, xi: &[u8], c: usize, pos: usize) -> u8 {
+    let (oy, ox) = (pos / g.out_w(), pos % g.out_w());
+    let mut best = 0u8;
+    for ky in 0..g.kernel {
+        for kx in 0..g.kernel {
+            let (iy, ix) = (oy * g.stride + ky, ox * g.stride + kx);
+            best = best.max(xi[(c * g.in_h + iy) * g.in_w + ix]);
+        }
+    }
+    best
+}
+
+/// Builds one of the reference topologies over a `channels`×8×8
+/// input. Topologies 2–4 open with a static prefix (pool, flatten, or
+/// pool then flatten) before the first spiking stage.
+fn topology(
+    kind: usize,
+    channels: usize,
+    filters: usize,
+    classes: usize,
+    seed: u64,
+    lif: LifConfig,
+) -> SpikingNetwork {
+    let b = SpikingNetwork::builder(Shape::d3(channels, 8, 8), seed);
+    let b = match kind {
+        0 => b.conv(filters, 3, 1, 1, lif).unwrap().maxpool(2).unwrap().flatten().unwrap(),
+        1 => b
+            .conv(filters, 3, 1, 1, lif).unwrap()
+            .maxpool(2).unwrap()
+            .conv(filters, 3, 2, 0, lif).unwrap()
+            .flatten().unwrap()
+            .dense(6, lif).unwrap(),
+        2 => b.maxpool(2).unwrap().conv(filters, 3, 1, 1, lif).unwrap().flatten().unwrap(),
+        3 => b.flatten().unwrap().dense(12, lif).unwrap(),
+        _ => b.maxpool(2).unwrap().flatten().unwrap().dense(12, lif).unwrap(),
+    };
+    b.dense(classes, lif).unwrap().build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `QuantNetwork` equals the naive reference exactly — counts and
+    /// every observed activation slice at every (timestep, stage) —
+    /// across topologies with and without a static prefix, both reset
+    /// modes, {1, 4} threads and both convolution routes. The runtime
+    /// computes time-invariant work once per batch; the reference
+    /// recomputes it every step, so any drift shows here.
+    #[test]
+    fn quantized_forward_matches_naive_reference(
+        kind in 0usize..5, channels in 1usize..3, filters in 2usize..5,
+        classes in 2usize..6, seed in 0u64..500, timesteps in 1usize..5,
+        batch in 1usize..5, zero_reset in any::<bool>(),
+        beta_pct in 25u32..76, theta_pct in 10u32..60,
+    ) {
+        // Untrained weights at the paper's theta leave deep layers
+        // nearly silent; lower thresholds keep every stage spiking.
+        let lif = LifConfig {
+            beta: beta_pct as f32 / 100.0,
+            theta: theta_pct as f32 / 100.0,
+            reset: if zero_reset { ResetMode::Zero } else { ResetMode::Subtract },
+            ..LifConfig::paper_default()
+        };
+        let net = topology(kind, channels, filters, classes, seed, lif);
+        let snap = NetworkSnapshot::from_network(&net);
+        let items: Vec<Vec<f32>> = (0..batch)
+            .map(|i| {
+                values(channels * 64, seed ^ (i as u64) << 8, 1.0)
+                    .iter()
+                    .map(|v| v.abs())
+                    .collect()
+            })
+            .collect();
+        let cal = calibrate(&snap, &items, timesteps).unwrap();
+        let q = quantize_snapshot(&snap, &cal, 8).unwrap();
+        let (want_counts, want_acts) = reference(&q, &items, timesteps);
+        let mut runtime = QuantNetwork::from_snapshot(&q).unwrap();
+        for &threads in &[1usize, 4] {
+            for &thr in &[-1.0f32, 1.0] {
+                let mut seen: Vec<(usize, Vec<u8>)> = Vec::new();
+                let counts = with_event_density_threshold(thr, || {
+                    par::with_num_threads(threads, || {
+                        runtime
+                            .infer_batch_observed(&items, timesteps, |si, _, acts, n| {
+                                assert_eq!(n, batch);
+                                seen.push((si, acts.to_vec()));
+                            })
+                            .unwrap()
+                    })
+                });
+                prop_assert_eq!(&counts, &want_counts,
+                    "counts, {} threads, route {}", threads, thr);
+                prop_assert_eq!(seen.len(), timesteps * q.stages.len());
+                for (call, (si, acts)) in seen.iter().enumerate() {
+                    let (t, stage) = (call / q.stages.len(), call % q.stages.len());
+                    prop_assert_eq!(*si, stage);
+                    prop_assert_eq!(acts, &want_acts[t][stage],
+                        "t {} stage {}, {} threads, route {}", t, stage, threads, thr);
+                }
+            }
         }
     }
 }

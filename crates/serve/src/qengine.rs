@@ -104,9 +104,11 @@ impl QuantEngine {
                 if acc.is_empty() {
                     return;
                 }
+                // Sum in u32 (vectorizes), then widen once: every
+                // partial sum is a small integer, exact in f64.
                 let per_item = acts.len() / n;
                 for (i, chunk) in acts.chunks_exact(per_item).enumerate() {
-                    acc[i] += chunk.iter().map(|&v| v as f64).sum::<f64>();
+                    acc[i] += chunk.iter().map(|&v| v as u32).sum::<u32>() as f64;
                 }
             })
             .expect("queue and HTTP layer validate inputs before dispatch");
