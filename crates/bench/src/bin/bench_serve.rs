@@ -5,8 +5,9 @@
 //!     [-- --requests N --clients N --out FILE --json-pretty]
 //! ```
 //!
-//! Starts the HTTP server in-process and drives it over real loopback
-//! TCP with closed-loop client threads, three phases:
+//! Starts the HTTP server (`snn_pool::PoolServer` with one engine
+//! replica, as `snn serve` runs by default) in-process and drives it
+//! over real loopback TCP with closed-loop client threads, in phases:
 //!
 //! 1. `unbatched` — `max_batch = 1`: every request is its own forward
 //!    pass. The baseline.
@@ -33,8 +34,8 @@
 //!    (`brownout_goodput_gain` in the report).
 //!
 //! After the phases, a **capacity sweep**: the same model
-//! behind the replicated epoll front end (`snn-pool`, 2 replicas,
-//! power-of-two-choices routing), driven open-loop at Poisson rates
+//! behind the same front end scaled to 2 replicas (power-of-two-choices
+//! routing), driven open-loop at Poisson rates
 //! bracketing the batched phase's closed-loop throughput. Open-loop
 //! arrival is the honest load model — clients do not slow down when
 //! the server does — so the sweep reports the maximum sustained rps
@@ -54,8 +55,10 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use snn_core::{LifConfig, NetworkSnapshot, SpikingNetwork};
+use snn_obs::SloConfig;
+use snn_pool::{PoolServer, PoolServerConfig};
 use snn_quant::{calibrate, quantize_snapshot, QuantizedSnapshot};
-use snn_serve::{BatcherConfig, ModelRegistry, ServedModel, Server, ServerConfig};
+use snn_serve::{BatcherConfig, ModelRegistry, ServedModel};
 use snn_tensor::Shape;
 
 const USAGE: &str =
@@ -129,43 +132,24 @@ fn main() {
     // on a single-core host, scheduler noise between closed-loop
     // client threads is the dominant source of variance, and one rep
     // can swing either way.
-    let serve_phase = |name: &str,
-                       model: &ServedModel,
-                       batcher: BatcherConfig,
-                       timeout_ms: Option<u64>| {
-        let mut runs: Vec<Phase> = (0..reps)
-            .map(|_| {
-                let registry = Arc::new(
-                    ModelRegistry::new(model.clone(), "bench").expect("demo model is valid"),
-                );
-                // Tracing and SLO config come from the environment
-                // (`SNN_TRACE_RING=0` is how the tracing-overhead
-                // comparison is run against the same binary).
-                let cfg = ServerConfig {
-                    addr: "127.0.0.1:0".into(),
-                    batcher: batcher.clone(),
-                    default_timeout: Some(Duration::from_secs(30)),
-                    ..ServerConfig::default()
-                };
-                let mut server = Server::start(registry, cfg).expect("server starts");
-                let phase = run_phase(
-                    name,
-                    model.dtype(),
-                    &server,
-                    &batcher,
-                    input_len,
-                    requests,
-                    clients,
-                    timeout_ms,
-                );
-                server.shutdown();
-                phase
-            })
-            .collect();
+    let median_rep = |run: &dyn Fn() -> Phase| {
+        let mut runs: Vec<Phase> = (0..reps).map(|_| run()).collect();
         runs.sort_by(|a, b| {
             a.throughput_rps.partial_cmp(&b.throughput_rps).expect("finite throughput")
         });
         runs.swap_remove(runs.len() / 2)
+    };
+    let serve_phase = |name: &str,
+                       model: &ServedModel,
+                       batcher: &BatcherConfig,
+                       timeout_ms: Option<u64>| {
+        median_rep(&|| {
+            let registry = Arc::new(
+                ModelRegistry::new(model.clone(), "bench").expect("demo model is valid"),
+            );
+            let server = start_server(registry, 1, batcher, SloConfig::from_env());
+            run_phase(name, model.dtype(), &server, batcher, input_len, requests, clients, timeout_ms)
+        })
     };
 
     let batched_cfg = BatcherConfig {
@@ -178,28 +162,19 @@ fn main() {
     let unbatched = serve_phase(
         "unbatched",
         &f32_model,
-        BatcherConfig {
+        &BatcherConfig {
             max_batch: 1,
             max_wait: Duration::from_micros(100),
-            capacity: 256,
-            timesteps,
-            ..BatcherConfig::default()
+            ..batched_cfg.clone()
         },
         None,
     );
-    let pool_batcher = batched_cfg.clone();
-    let batched = serve_phase("batched", &f32_model, batched_cfg.clone(), None);
-    let batched_int8 = serve_phase("batched-int8", &int8_model, batched_cfg, None);
+    let batched = serve_phase("batched", &f32_model, &batched_cfg, None);
+    let batched_int8 = serve_phase("batched-int8", &int8_model, &batched_cfg, None);
     let overload = serve_phase(
         "overload",
         &f32_model,
-        BatcherConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(2000),
-            capacity: 4,
-            timesteps,
-            ..BatcherConfig::default()
-        },
+        &BatcherConfig { max_batch: 4, capacity: 4, ..batched_cfg.clone() },
         Some(1),
     );
 
@@ -215,56 +190,27 @@ fn main() {
     let dense_int8 = ServedModel::from(dense_artifact(&dense_snap));
     let dense_input_len = 16 * 16;
     let brownout_phase = |name: &str, publish: bool| {
-        let batcher = BatcherConfig {
-            max_batch: 8,
-            max_wait: Duration::from_micros(2000),
-            capacity: 256,
-            timesteps,
-            ..BatcherConfig::default()
-        };
-        let mut runs: Vec<Phase> = (0..reps)
-            .map(|_| {
-                let registry = Arc::new(
-                    ModelRegistry::new(dense_f32.clone(), "bench").expect("dense model is valid"),
-                );
-                if publish {
-                    registry
-                        .publish_brownout(dense_int8.clone(), "bench-int8")
-                        .expect("int8 artifact publishes");
-                }
-                let cfg = ServerConfig {
-                    addr: "127.0.0.1:0".into(),
-                    batcher: batcher.clone(),
-                    default_timeout: Some(Duration::from_secs(30)),
-                    slo: Some(snn_obs::SloConfig::parse("avail=99").expect("valid SLO")),
-                    ..ServerConfig::default()
-                };
-                let mut server = Server::start(registry, cfg).expect("server starts");
-                // Seed the availability budget with hard failures so
-                // the fast-burn signal is already firing when traffic
-                // arrives; brownout hysteresis (default 10s hold)
-                // keeps the degradation engaged through the run.
-                for _ in 0..20 {
-                    server.metrics().slo_record(false, 1_000);
-                }
-                let phase = run_phase(
-                    name,
-                    if publish { "int8" } else { "f32" },
-                    &server,
-                    &batcher,
-                    dense_input_len,
-                    requests,
-                    clients,
-                    None,
-                );
-                server.shutdown();
-                phase
-            })
-            .collect();
-        runs.sort_by(|a, b| {
-            a.throughput_rps.partial_cmp(&b.throughput_rps).expect("finite throughput")
-        });
-        runs.swap_remove(runs.len() / 2)
+        median_rep(&|| {
+            let registry = Arc::new(
+                ModelRegistry::new(dense_f32.clone(), "bench").expect("dense model is valid"),
+            );
+            if publish {
+                registry
+                    .publish_brownout(dense_int8.clone(), "bench-int8")
+                    .expect("int8 artifact publishes");
+            }
+            let slo = SloConfig::parse("avail=99").expect("valid SLO");
+            let server = start_server(registry, 1, &batched_cfg, Some(slo));
+            // Seed the availability budget with hard failures so the
+            // fast-burn signal is already firing when traffic arrives;
+            // brownout hysteresis (default 10s hold) keeps the
+            // degradation engaged through the run.
+            for _ in 0..20 {
+                server.metrics().slo_record(false, 1_000);
+            }
+            let dtype = if publish { "int8" } else { "f32" };
+            run_phase(name, dtype, &server, &batched_cfg, dense_input_len, requests, clients, None)
+        })
     };
     let brownout_off = brownout_phase("brownout-off", false);
     let brownout_on = brownout_phase("brownout", true);
@@ -285,14 +231,7 @@ fn main() {
         let registry = Arc::new(
             ModelRegistry::new(f32_model.clone(), "bench").expect("demo model is valid"),
         );
-        let cfg = snn_pool::PoolServerConfig {
-            addr: "127.0.0.1:0".into(),
-            replicas: 2,
-            batcher: pool_batcher,
-            default_timeout: Some(Duration::from_secs(30)),
-            ..snn_pool::PoolServerConfig::default()
-        };
-        let mut pool = snn_pool::PoolServer::start(registry, cfg).expect("pool server starts");
+        let pool = start_server(registry, 2, &batched_cfg, SloConfig::from_env());
         let anchor = batched.throughput_rps.max(50.0);
         // The lowest rung sits well below any plausible knee so the
         // sweep brackets capacity from both sides — a ladder that
@@ -310,9 +249,7 @@ fn main() {
             retries: 2,
             seed: 42,
         };
-        let capacity = snn_pool::capacity_sweep(&lg, &rates, snn_pool::SloSpec::default());
-        pool.shutdown();
-        capacity
+        snn_pool::capacity_sweep(&lg, &rates, snn_pool::SloSpec::default())
     };
     for p in &capacity.points {
         println!(
@@ -386,6 +323,26 @@ fn main() {
         std::process::exit(1);
     });
     println!("wrote {out}");
+}
+
+/// Starts the front end on an ephemeral port with `replicas` engines.
+/// Tracing comes from the environment (`SNN_TRACE_RING=0` is how the
+/// tracing-overhead comparison is run against the same binary).
+fn start_server(
+    registry: Arc<ModelRegistry>,
+    replicas: usize,
+    batcher: &BatcherConfig,
+    slo: Option<SloConfig>,
+) -> PoolServer {
+    let cfg = PoolServerConfig {
+        addr: "127.0.0.1:0".into(),
+        replicas,
+        batcher: batcher.clone(),
+        default_timeout: Some(Duration::from_secs(30)),
+        slo,
+        ..PoolServerConfig::default()
+    };
+    PoolServer::start(registry, cfg).expect("server starts")
 }
 
 /// The model under load: paper-shaped (conv → pool → conv → pool →
@@ -592,7 +549,7 @@ fn stage_breakdowns(histograms: &[snn_obs::HistogramSnapshot]) -> Vec<StageBreak
 fn run_phase(
     name: &str,
     dtype: &str,
-    server: &Server,
+    server: &PoolServer,
     cfg: &BatcherConfig,
     input_len: usize,
     requests: usize,

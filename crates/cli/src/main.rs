@@ -58,18 +58,18 @@ commands:
           --addr HOST:PORT (127.0.0.1:7878; port 0 picks a free port)
           --timesteps N (4)   --max-batch N (8)   --max-wait-us N (2000)
           --capacity N (64)   --timeout-ms N (2000; 0 disables)
-          --replicas N (1; N>=2 serves through the nonblocking epoll
-                front end with N engine replicas behind a
-                power-of-two-choices router)
+          --replicas N (1; engine replicas behind the nonblocking
+                epoll front end and its power-of-two-choices router)
           --breaker-threshold N (consecutive worker failures before a
                 circuit opens; default from the batcher config)
           --brownout-model PATH (publish an INT8 artifact as the
                 brownout target: batch workers degrade to it while the
                 SLO error budget fast-burns)
-          --quarantine-trips N (3; pool only: breaker trips before the
-                supervisor quarantines, rebuilds, and probes a replica)
-          --drain-ms N (5000; pool only: SIGTERM graceful-drain
-                deadline — stop accepting, finish in-flight, exit 0)
+          --quarantine-trips N (3; breaker trips before the
+                supervisor quarantines, rebuilds, and probes a replica;
+                the last serving replica is never quarantined)
+          --drain-ms N (5000; SIGTERM graceful-drain deadline — stop
+                accepting, finish in-flight, exit 0)
   loadgen open-loop (Poisson) load generator and SLO capacity report
           --addr HOST:PORT (target server)   --rps F (200)
           --sweep LIST (e.g. 100,200,400: capacity sweep over offered
@@ -525,7 +525,7 @@ fn cmd_map(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use snn_serve::{BatcherConfig, ModelRegistry, ServedModel, Server, ServerConfig};
+    use snn_serve::{BatcherConfig, ModelRegistry, ServedModel};
     use std::time::Duration;
 
     let (model, name) = if let Some(side) = args.opt("demo") {
@@ -597,43 +597,30 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "serving {} [{}] ({} inputs, {} classes, {} parameters, T={timesteps})",
         info.name, info.dtype, info.input_len, info.classes, info.params
     );
-    if replicas >= 2 {
-        // Scale-out path: the epoll front end multiplexing every
-        // connection on one thread, with N engine replicas behind a
-        // power-of-two-choices router.
-        let quarantine_trips: u32 = args.get_parsed("quarantine-trips", 3)?;
-        let drain_ms: u64 = args.get_parsed("drain-ms", 5000)?;
-        let cfg = snn_pool::PoolServerConfig {
-            addr,
-            replicas,
-            batcher,
-            default_timeout,
-            quarantine_trips,
-            drain_timeout: Duration::from_millis(drain_ms.max(1)),
-            // SIGTERM starts a graceful drain: stop accepting, finish
-            // in-flight requests, then exit 0.
-            handle_sigterm: true,
-            // Trace ring and SLO objectives come from the environment
-            // (SNN_TRACE_RING / SNN_SLO) via the config default.
-            ..snn_pool::PoolServerConfig::default()
-        };
-        let mut server = snn_pool::PoolServer::start(registry, cfg).map_err(|e| e.to_string())?;
-        println!("pool: {replicas} replicas, power-of-two-choices routing, epoll front end");
-        // ci.sh and other harnesses parse this line for the port.
-        println!("listening on {}", server.addr());
-        server.join();
-    } else {
-        let cfg = ServerConfig {
-            addr,
-            batcher,
-            default_timeout,
-            ..ServerConfig::default()
-        };
-        let mut server = Server::start(registry, cfg).map_err(|e| e.to_string())?;
-        // ci.sh and other harnesses parse this line for the ephemeral port.
-        println!("listening on {}", server.addr());
-        server.join();
-    }
+    let quarantine_trips: u32 = args.get_parsed("quarantine-trips", 3)?;
+    let drain_ms: u64 = args.get_parsed("drain-ms", 5000)?;
+    // The epoll front end multiplexes every connection on one thread,
+    // with N engine replicas behind a power-of-two-choices router.
+    let cfg = snn_pool::PoolServerConfig {
+        addr,
+        replicas,
+        batcher,
+        default_timeout,
+        quarantine_trips,
+        drain_timeout: Duration::from_millis(drain_ms.max(1)),
+        // SIGTERM starts a graceful drain: stop accepting, finish
+        // in-flight requests, then exit 0.
+        handle_sigterm: true,
+        // Trace ring and SLO objectives come from the environment
+        // (SNN_TRACE_RING / SNN_SLO) via the config default.
+        ..snn_pool::PoolServerConfig::default()
+    };
+    let mut server = snn_pool::PoolServer::start(registry, cfg).map_err(|e| e.to_string())?;
+    let plural = if replicas == 1 { "" } else { "s" };
+    println!("pool: {replicas} replica{plural}, power-of-two-choices routing, epoll front end");
+    // ci.sh and other harnesses parse this line for the ephemeral port.
+    println!("listening on {}", server.addr());
+    server.join();
     Ok(())
 }
 
@@ -799,7 +786,8 @@ fn git_commit() -> String {
 /// chaos smoke.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
     use snn_core::{SupervisorPolicy, TrainConfig, TrainSupervisor};
-    use snn_serve::{BatcherConfig, ModelRegistry, Server, ServerConfig};
+    use snn_pool::{PoolServer, PoolServerConfig};
+    use snn_serve::{BatcherConfig, ModelRegistry};
     use std::time::Duration;
 
     let spec = args.get("plan", "io_err@store:0.05,panic@serve.worker:1");
@@ -879,17 +867,18 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let registry = std::sync::Arc::new(
         ModelRegistry::new(demo_snapshot(8)?, "chaos-demo").map_err(|e| e.to_string())?,
     );
-    let scfg = ServerConfig {
+    let scfg = PoolServerConfig {
         addr: "127.0.0.1:0".into(),
+        replicas: 1,
         batcher: BatcherConfig {
             timesteps: 2,
             breaker_cooldown: Duration::from_millis(50),
             ..BatcherConfig::default()
         },
         default_timeout: Some(Duration::from_millis(2000)),
-        ..ServerConfig::default()
+        ..PoolServerConfig::default()
     };
-    let mut server = Server::start(registry, scfg).map_err(|e| e.to_string())?;
+    let mut server = PoolServer::start(registry, scfg).map_err(|e| e.to_string())?;
     let addr = server.addr();
     let values: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
     let body = format!("{{\"input\":[{}]}}", values.join(","));

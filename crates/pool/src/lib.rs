@@ -5,20 +5,19 @@
 //! generator that measures what the arrangement is worth.
 //!
 //! The paper's deployment argument — hardware-aware SNN tuning pays
-//! off at serving time — runs through sustained-load behavior, and the
-//! single-worker [`snn_serve::Server`] has two scaling walls: one
-//! thread per connection (memory + scheduler pressure under high
-//! connection counts) and one batch worker (one engine's throughput).
-//! This crate removes both:
+//! off at serving time — runs through sustained-load behavior. This
+//! crate is the one HTTP server `snn serve` runs, at every replica
+//! count: no thread per connection (one readiness loop multiplexes
+//! every socket) and no single-engine ceiling (N replicas, one by
+//! default):
 //!
 //! * [`epoll`] — hand-rolled, hermetic epoll bindings (the only
 //!   `unsafe` in the workspace, confined to four FFI declarations
 //!   against the C library `std` already links).
 //! * [`server`] — [`PoolServer`]: a single-threaded readiness loop
 //!   multiplexing every connection through nonblocking accept/read/
-//!   write state machines. Protocol behavior reuses `snn-serve`'s
-//!   parsers and response builders, so both front ends answer
-//!   byte-identically.
+//!   write state machines. The protocol itself is `snn-serve`'s pure
+//!   parsers and response builders (`snn_serve::http`).
 //! * [`pool`] — [`ReplicaPool`]: N [`snn_serve::Batcher`] replicas
 //!   (each its own engine, bounded queue, and circuit breaker) behind
 //!   a power-of-two-choices router with breaker-aware fallback and

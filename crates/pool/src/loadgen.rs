@@ -203,7 +203,7 @@ pub struct CapacityReport {
     /// One entry per offered rate, in sweep order.
     pub points: Vec<CapacityPoint>,
     /// Per-replica attribution (empty when the target exposes no pool
-    /// metrics — e.g. a single-worker server).
+    /// metrics).
     pub per_replica: Vec<ReplicaUtilization>,
     /// Router decision counters (zero when not a pool target).
     pub router: RouterCounts,

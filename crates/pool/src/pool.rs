@@ -140,8 +140,8 @@ pub struct ReplicaPool {
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
     labeled: Registry,
-    /// Per-replica batcher configuration (fault site renamed to
-    /// `pool.replica`), kept for supervisor rebuilds.
+    /// Per-replica batcher configuration, kept for supervisor
+    /// rebuilds.
     batcher_cfg: BatcherConfig,
     quarantine_trips: u32,
     quarantine_total: Arc<Counter>,
@@ -180,11 +180,7 @@ impl ReplicaPool {
     ) -> Result<ReplicaPool, snn_core::SnapshotError> {
         let n = cfg.replicas.max(1);
         let labeled = Registry::new();
-        // Replica workers inject at `pool.replica`, not `serve.worker`,
-        // so chaos plans can kill pool replicas without also killing
-        // classic single-worker servers sharing the process (tests).
-        let mut batcher_cfg = cfg.batcher.clone();
-        batcher_cfg.fault_site = "pool.replica".into();
+        let batcher_cfg = cfg.batcher;
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
             let batcher = Arc::new(Batcher::start(
@@ -652,7 +648,7 @@ mod tests {
     /// surviving replica keeps serving.
     #[test]
     fn tripped_replica_is_quarantined_rebuilt_and_readmitted() {
-        let plan = snn_fault::FaultPlan::parse("panic@pool.replica:1", 7).unwrap();
+        let plan = snn_fault::FaultPlan::parse("panic@serve.worker:1", 7).unwrap();
         let _guard = snn_fault::install(Arc::new(plan));
         let pool = pool_with_quarantine(1);
         let input = vec![0.1f32; pool.input_len()];
@@ -713,7 +709,7 @@ mod tests {
     fn last_serving_replica_is_never_quarantined() {
         // Both replicas' first batches panic; with threshold 1 both
         // breakers open.
-        let plan = snn_fault::FaultPlan::parse("panic@pool.replica:1,panic@pool.replica:2", 7)
+        let plan = snn_fault::FaultPlan::parse("panic@serve.worker:1,panic@serve.worker:2", 7)
             .unwrap();
         let _guard = snn_fault::install(Arc::new(plan));
         let pool = pool_with_quarantine(1);

@@ -23,7 +23,7 @@ pub enum Decision {
     /// Both sampled candidates were unavailable; fell back to a
     /// round-robin scan for the first available replica — or, with
     /// every breaker open, to the raw cursor position (whose breaker
-    /// then answers `CircuitOpen`, matching single-worker semantics).
+    /// then answers `CircuitOpen` or admits its half-open probe).
     Fallback,
 }
 

@@ -1,4 +1,5 @@
-//! The nonblocking, event-driven HTTP front end.
+//! The nonblocking, event-driven HTTP front end — the one server
+//! `snn serve` runs, at every replica count.
 //!
 //! One thread, one [`Epoll`] instance, no per-connection threads: the
 //! readiness loop multiplexes every connection through nonblocking
@@ -8,13 +9,12 @@
 //! flight the loop ticks at 1ms; fully idle it sleeps in `epoll_wait`
 //! until the kernel has something to say.
 //!
-//! Protocol behavior is *defined* to match the thread-per-connection
-//! [`snn_serve::Server`]: the head parser, body framing limits, route
-//! table, response builders, and status mapping are all the same
-//! functions (`snn_serve::{parse_head, infer_success_body,
-//! format_response, …}`), so a response that differs byte-for-byte
-//! between the two front ends is a bug by construction, and the
-//! identity is pinned by an integration test.
+//! The protocol pieces — head parser, body framing limits, response
+//! builders and status mapping — are `snn-serve`'s pure functions
+//! (`snn_serve::{parse_head, infer_success_body, format_response, …}`);
+//! this module owns the sockets, the route table and the per-request
+//! trace and SLO bookkeeping. The integration tests pin every route
+//! against fixed reference bodies.
 //!
 //! Connection lifecycle:
 //!
@@ -43,6 +43,14 @@
 //! disconnect, thousands of idle keep-alives) costs one map entry and
 //! one fd — never a thread, and never a wedged loop: all socket I/O
 //! is nonblocking and bounded by `MAX_HEAD`/`MAX_BODY`.
+//!
+//! Request tracing: every request is minted a [`TraceContext`] at
+//! dispatch; its 32-hex id comes back in the `x-snn-trace-id` response
+//! header and travels by value through the replica queue into the
+//! batch worker. `POST` routes also record a five-stage timeline
+//! (`parse`, `queue_wait`, `batch_form`, `forward`, `respond`) into
+//! the tail-sampled [`TraceRing`] behind `/debug/traces`; the stages
+//! sum to the request's wall time up to microsecond truncation.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -75,8 +83,7 @@ const IDLE_TICK: Duration = Duration::from_millis(250);
 /// but not yet surfaced by the kernel when the drain began.
 const DRAIN_IDLE_GRACE: Duration = Duration::from_millis(100);
 
-/// Pool server tuning knobs; mirrors [`snn_serve::ServerConfig`] plus
-/// the replica count.
+/// Pool server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PoolServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -86,11 +93,17 @@ pub struct PoolServerConfig {
     /// Per-replica batching queue configuration.
     pub batcher: BatcherConfig,
     /// Deadline applied to `/infer` requests without `timeout_ms`.
+    /// `None` means such requests wait indefinitely.
     pub default_timeout: Option<Duration>,
-    /// Completed-request trace ring behind `/debug/traces`.
+    /// Completed-request trace ring behind `/debug/traces`; `None`
+    /// disables per-request stage timelines (ids and the
+    /// `x-snn-trace-id` header are minted regardless). The default
+    /// honors `SNN_TRACE_RING` / `SNN_TRACE_SLOW_MS` /
+    /// `SNN_TRACE_SAMPLE`.
     pub trace_ring: Option<Arc<TraceRing>>,
     /// SLO objectives for burn-rate tracking (shared front tracker
-    /// plus one tracker per replica).
+    /// plus one tracker per replica); `None` disables it. The default
+    /// honors `SNN_SLO` (e.g. `p99=25ms,avail=99.9`).
     pub slo: Option<SloConfig>,
     /// Breaker trips before the supervisor quarantines a replica.
     pub quarantine_trips: u32,
@@ -317,7 +330,7 @@ struct InFlightReq {
 }
 
 /// Outcome details captured for the trace record of a finished
-/// request (mirror of the classic front end's `TraceCapture`).
+/// request.
 #[derive(Default)]
 struct Finish {
     outcome: &'static str,
@@ -599,8 +612,7 @@ impl EventLoop {
                         }
                     };
                     if head.content_length > MAX_BODY {
-                        // Refuse before reading a byte of the payload,
-                        // exactly like the classic front end.
+                        // Refuse before reading a byte of the payload.
                         self.metrics.bad_requests.inc();
                         self.respond_error(
                             conn,
@@ -804,9 +816,8 @@ impl EventLoop {
     }
 
     /// Builds and queues the `/infer` response once its ticket
-    /// resolved (`None` = engine timeout), with the same status
-    /// mapping, SLO accounting, and trace stages as the classic front
-    /// end.
+    /// resolved (`None` = engine timeout): status mapping, SLO
+    /// accounting, and trace stages.
     fn complete_infer(
         &mut self,
         conn: &mut Conn,
@@ -861,9 +872,13 @@ impl EventLoop {
         conn.idle_since = Instant::now();
     }
 
-    /// Mirrors the classic front end's `finish_request`: SLO
-    /// accounting (availability excludes client errors), the HTTP-side
-    /// stage histograms, and the tail-sampled trace record.
+    /// Books a finished request: SLO accounting (availability excludes
+    /// client errors), the HTTP-side stage histograms, and the
+    /// tail-sampled trace record. Runs *after* the response bytes are
+    /// queued, so the `respond` stage is real. The five stages
+    /// partition `[received, finished]` exactly: `forward` is the
+    /// in-flight remainder between submit and reply minus the
+    /// worker-attributed queue/batch_form time.
     fn finish(
         &self,
         path: &str,
@@ -1004,8 +1019,8 @@ impl EventLoop {
 
     /// Closes keep-alive connections idle past [`IDLE_TIMEOUT`]. A
     /// connection mid-request (partial head/body, in-flight ticket, or
-    /// a draining response) is exempt — matching the classic front
-    /// end, which only times out between requests.
+    /// a draining response) is exempt: only time between requests
+    /// counts as idle.
     fn sweep_idle(&mut self) {
         for conn in self.conns.values_mut() {
             if matches!(conn.state, ConnState::Head)

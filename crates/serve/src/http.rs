@@ -1,12 +1,15 @@
-//! Minimal hermetic HTTP/1.1 front end over [`std::net::TcpListener`].
+//! The HTTP/1.1 protocol surface of the model server, as pure
+//! functions: request-head framing, `/infer` body decoding, response
+//! formatting, and the body builders behind every route.
 //!
 //! No async runtime and no HTTP crate: the workspace is offline, and
-//! the protocol surface a model server needs — fixed routes, JSON
-//! bodies, `Content-Length` framing, keep-alive — fits in a few
-//! hundred lines of `std`. Connections get a thread each; the real
-//! concurrency control is the bounded [`crate::Batcher`] behind them,
-//! which turns overload into typed rejections instead of unbounded
-//! queues.
+//! the surface a model server needs — fixed routes, JSON bodies,
+//! `Content-Length` framing, keep-alive — fits in a few hundred lines
+//! of `std`. The one front end that drives these functions is the
+//! epoll readiness loop in `snn-pool` (`snn_pool::PoolServer`), which
+//! `snn serve` starts at every replica count; the bounded
+//! [`crate::Batcher`] behind it turns overload into typed rejections
+//! instead of unbounded queues.
 //!
 //! Routes:
 //!
@@ -17,97 +20,40 @@
 //! | `/metrics` | GET | Prometheus text exposition (instance + global instruments) |
 //! | `/metrics.json` | GET | JSON: [`crate::MetricsSnapshot`] summary + full instrument dump |
 //! | `/reload` | POST | snapshot JSON → validated atomic hot-swap |
-//! | `/debug/traces` | GET | tail-sampled recent request traces (see below) |
+//! | `/debug/traces` | GET | tail-sampled recent request traces |
 //! | `/debug/traces/<id>` | GET | one trace by its 32-hex id |
 //! | `/debug/traces/<id>/chrome` | GET | same trace as a chrome://tracing event array |
 //!
-//! Rejections map onto status codes: full queue → `429`, lapsed
-//! deadline → `504`, malformed input → `400`, shutdown → `503`,
+//! Rejections map onto status codes ([`rejection_status`]): full queue
+//! or admission shed → `429`, lapsed deadline → `504`, malformed input
+//! → `400`, shutdown, worker panic or open circuit → `503`,
 //! incompatible reload → `409`.
-//!
-//! # Request tracing
-//!
-//! Every request is minted a [`TraceContext`] at accept; its 32-hex
-//! trace id comes back in the `x-snn-trace-id` response header, and
-//! the context is installed for the connection thread (and carried by
-//! value through the queue into the batch worker), so `span!` events
-//! and structured log records anywhere downstream attach to the
-//! owning request. `POST` routes additionally record a five-stage
-//! timeline (`parse`, `queue_wait`, `batch_form`, `forward`,
-//! `respond`) into a tail-sampled [`TraceRing`] served from
-//! `/debug/traces`. The stages partition the wall clock exactly:
-//! `forward` is the in-flight remainder between submit and reply
-//! (engine time plus reply transit), so the five stages always sum to
-//! `total_us` up to microsecond truncation.
 
 use std::fmt;
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::io::{self, ErrorKind};
+use std::time::Duration;
 
 use serde::{Serialize, Value};
 
 use crate::breaker::CircuitState;
-use crate::metrics::Metrics;
-use crate::queue::{Batcher, BatcherConfig, Rejection};
+use crate::queue::Rejection;
 use crate::registry::{ModelInfo, ModelRegistry, ServedModel, SwapError};
 use snn_core::SnapshotError;
-use snn_obs::{tracectx, SloConfig, StageTiming, TraceContext, TraceRecord, TraceRing};
+use snn_obs::{tracectx, TraceRing};
 
-/// Largest accepted request head (request line + headers). Shared
-/// with the pool front end so both front ends frame identically.
+/// Largest accepted request head (request line + headers).
 pub const MAX_HEAD: usize = 16 * 1024;
-/// Largest accepted request body. Shared with the pool front end.
+/// Largest accepted request body; a larger declared `Content-Length`
+/// is answered `413` without reading the payload.
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
-/// Poll granularity for reads, so idle connection threads notice
-/// shutdown promptly.
-const READ_TIMEOUT: Duration = Duration::from_millis(250);
-/// Idle keep-alive connections are closed after this long. Shared
-/// with the pool front end.
+/// Idle keep-alive connections are closed after this long.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Slack added on top of an `/infer` request's queue deadline before
-/// the connection thread gives up on the engine entirely and answers
-/// `503`. The deadline bounds *queue* wait; this grace bounds the
-/// forward pass behind it, so a wedged worker can never hang a
-/// request forever. Shared with the pool front end.
+/// the front end gives up on the engine entirely and answers `503`.
+/// The deadline bounds *queue* wait; this grace bounds the forward
+/// pass behind it, so a wedged worker can never hang a request
+/// forever.
 pub const ENGINE_GRACE: Duration = Duration::from_secs(2);
-
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bind address; port 0 picks an ephemeral port (see
-    /// [`Server::addr`]).
-    pub addr: String,
-    /// Configuration for the batching queue behind `/infer`.
-    pub batcher: BatcherConfig,
-    /// Deadline applied to `/infer` requests that do not send
-    /// `timeout_ms`. `None` means such requests wait indefinitely.
-    pub default_timeout: Option<Duration>,
-    /// Completed-request trace ring behind `/debug/traces`; `None`
-    /// disables per-request stage timelines (ids and the
-    /// `x-snn-trace-id` header are minted regardless). The default
-    /// honors `SNN_TRACE_RING` / `SNN_TRACE_SLOW_MS` /
-    /// `SNN_TRACE_SAMPLE`.
-    pub trace_ring: Option<Arc<TraceRing>>,
-    /// SLO objectives for burn-rate tracking; `None` disables it. The
-    /// default honors `SNN_SLO` (e.g. `p99=25ms,avail=99.9`).
-    pub slo: Option<SloConfig>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            batcher: BatcherConfig::default(),
-            default_timeout: Some(Duration::from_millis(2000)),
-            trace_ring: TraceRing::from_env(),
-            slo: SloConfig::from_env(),
-        }
-    }
-}
 
 /// Failure starting the server.
 #[derive(Debug)]
@@ -129,138 +75,10 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Shared state every connection thread sees.
-struct ServerShared {
-    registry: Arc<ModelRegistry>,
-    batcher: Arc<Batcher>,
-    metrics: Arc<Metrics>,
-    default_timeout: Option<Duration>,
-    trace_ring: Option<Arc<TraceRing>>,
-    shutdown: AtomicBool,
-}
-
-/// The running HTTP server.
-pub struct Server {
-    shared: Arc<ServerShared>,
-    addr: SocketAddr,
-    accept: Option<thread::JoinHandle<()>>,
-}
-
-impl Server {
-    /// Binds the listener, starts the batch worker and the accept
-    /// loop, and returns immediately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError`] if the address cannot be bound or the
-    /// engine cannot be built.
-    pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Result<Self, ServeError> {
-        let metrics = Arc::new(Metrics::with_slo(cfg.slo));
-        let batcher = Arc::new(
-            Batcher::start(Arc::clone(&registry), cfg.batcher, Arc::clone(&metrics))
-                .map_err(ServeError::Snapshot)?,
-        );
-        let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Io)?;
-        let addr = listener.local_addr().map_err(ServeError::Io)?;
-        let shared = Arc::new(ServerShared {
-            registry,
-            batcher,
-            metrics,
-            default_timeout: cfg.default_timeout,
-            trace_ring: cfg.trace_ring,
-            shutdown: AtomicBool::new(false),
-        });
-        snn_obs::log_info!(
-            "server listening",
-            addr = addr.to_string(),
-            tracing = shared.trace_ring.is_some(),
-        );
-        let accept = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("snn-serve-accept".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawning accept loop")
-        };
-        Ok(Server { shared, addr, accept: Some(accept) })
-    }
-
-    /// The bound address (resolves port 0 to the actual port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The server's metrics handle.
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// Blocks until the server shuts down. For embedding in a CLI
-    /// process that serves until killed.
-    pub fn join(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Stops accepting connections, drains the queue with
-    /// [`Rejection::ShuttingDown`], and joins the accept loop.
-    /// Idempotent.
-    pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.batcher.request_shutdown();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        self.join();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(&shared);
-        // Connection threads are detached; they poll the shutdown
-        // flag every READ_TIMEOUT and exit on their own.
-        let _ = thread::Builder::new()
-            .name("snn-serve-conn".into())
-            .spawn(move || handle_connection(stream, shared));
-    }
-}
-
-/// One parsed HTTP request.
-struct Request {
-    method: String,
-    path: String,
-    close: bool,
-    content_type: Option<String>,
-    body: Vec<u8>,
-    /// When the first byte of this request was observed — the start of
-    /// the `parse` trace stage (and of `total_us`). Idle keep-alive
-    /// time between requests is not charged to anyone.
-    received: Instant,
-}
-
-impl Request {
-    /// `Some(reason)` if a declared `Content-Type` is not JSON. POSTs
-    /// without the header are accepted (curl-without-`-H` ergonomics);
-    /// a *wrong* declaration is a client bug worth a typed `400`.
-    fn content_type_error(&self) -> Option<String> {
-        content_type_error(self.content_type.as_deref())
-    }
-}
-
 /// `Some(reason)` if a declared `Content-Type` is not JSON (`None`
-/// when the header is absent or correct). Both front ends run the
-/// same policy through this one function.
+/// when the header is absent or correct). POSTs without the header
+/// are accepted (curl-without-`-H` ergonomics); a *wrong* declaration
+/// is a client bug worth a typed `400`.
 pub fn content_type_error(content_type: Option<&str>) -> Option<String> {
     let ct = content_type?;
     let essence = ct.split(';').next().unwrap_or(ct).trim();
@@ -271,253 +89,13 @@ pub fn content_type_error(content_type: Option<&str>) -> Option<String> {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-        return;
-    }
-    // Responses are small and latency-sensitive; never wait for more
-    // payload to coalesce.
-    let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let req = match read_request(&mut stream, &mut buf, &shared.shutdown) {
-            Ok(Some(req)) => req,
-            Ok(None) => return, // clean close / idle timeout / shutdown
-            Err(e) => {
-                shared.metrics.bad_requests.inc();
-                // An oversized declared body earns its own status; the
-                // connection still closes without reading the payload.
-                let (status, msg) = if e.kind() == ErrorKind::FileTooLarge {
-                    (413, format!("request body too large (limit {MAX_BODY} bytes)"))
-                } else {
-                    (400, "malformed HTTP request".to_string())
-                };
-                snn_obs::log_debug!("unframeable request", status = status, error = e.to_string());
-                let _ = write_response(
-                    &mut stream,
-                    status,
-                    "application/json",
-                    &error_body(&msg),
-                    true,
-                    None,
-                );
-                return;
-            }
-        };
-        // Every request gets an identity; downstream spans and log
-        // records on this thread (and, by value through the queue, in
-        // the batch worker) attach to it.
-        let ctx = TraceContext::new_root();
-        let trace_hex = ctx.trace_hex();
-        let _scope = tracectx::set_scope(ctx);
-        let close = req.close;
-        let mut cap = TraceCapture::default();
-        let (status, body) = route(&req, &shared, &mut cap);
-        // The Prometheus exposition is plain text; everything else
-        // speaks JSON.
-        let content_type = if req.method == "GET" && req.path == "/metrics" {
-            "text/plain; version=0.0.4"
-        } else {
-            "application/json"
-        };
-        let write_res =
-            write_response(&mut stream, status, content_type, &body, close, Some(&trace_hex));
-        finish_request(&req, &shared, &ctx, status, &cap);
-        if write_res.is_err() || close {
-            return;
-        }
-    }
-}
-
-/// What [`handle_infer`] learned about a request's trip through the
-/// queue, captured for the trace record built after the response is
-/// written.
-#[derive(Default)]
-struct TraceCapture {
-    /// Outcome label; empty means "derive from the status code".
-    outcome: &'static str,
-    /// Engine that served it (empty if it never reached one).
-    engine: String,
-    batch_size: u64,
-    model_version: u64,
-    queue_us: u64,
-    batch_form_us: u64,
-    /// When the request entered the queue.
-    submitted: Option<Instant>,
-    /// When the reply (or rejection) came back.
-    replied: Option<Instant>,
-}
-
-/// Builds and offers the trace record for a finished `POST` request,
-/// and feeds `/infer` outcomes into SLO accounting. Runs *after* the
-/// response bytes are on the wire so the `respond` stage is real.
-fn finish_request(
-    req: &Request,
-    shared: &ServerShared,
-    ctx: &TraceContext,
-    status: u16,
-    cap: &TraceCapture,
-) {
-    if req.method != "POST" || (req.path != "/infer" && req.path != "/reload") {
-        return;
-    }
-    let finished = Instant::now();
-    let total_us = (finished - req.received).as_micros() as u64;
-    if req.path == "/infer" {
-        // Availability SLO: server-side failures only. Client errors
-        // (400 validation) neither succeed nor count against the
-        // error budget.
-        if status != 400 {
-            shared.metrics.slo_record(!matches!(status, 429 | 503 | 504), total_us);
-        }
-        if status >= 500 || status == 429 {
-            snn_obs::log_warn!(
-                "infer failed",
-                status = status,
-                outcome = outcome_label(status, cap),
-                total_us = total_us,
-            );
-        }
-    }
-    // The five stages partition [received, finished] exactly:
-    // `forward` is the in-flight remainder between submit and reply
-    // minus the worker-attributed queue/batch_form time, and
-    // `respond` starts when the reply came back (covering
-    // serialization and the socket write).
-    let submitted = cap.submitted.unwrap_or(finished);
-    let replied = cap.replied.unwrap_or(submitted);
-    let parse_us = (submitted - req.received).as_micros() as u64;
-    let in_flight_us = (replied - submitted).as_micros() as u64;
-    let forward_us = in_flight_us.saturating_sub(cap.queue_us + cap.batch_form_us);
-    let respond_us = (finished - replied).as_micros() as u64;
-    // The worker records queue_wait/batch_form/forward at dispatch;
-    // the two HTTP-side stages are only observable here.
-    if req.path == "/infer" {
-        shared.metrics.stage_parse.record(parse_us as f64 * 1e-6);
-        shared.metrics.stage_respond.record(respond_us as f64 * 1e-6);
-    }
-    let Some(ring) = &shared.trace_ring else { return };
-    let stages = vec![
-        StageTiming { stage: "parse".into(), micros: parse_us },
-        StageTiming { stage: "queue_wait".into(), micros: cap.queue_us },
-        StageTiming { stage: "batch_form".into(), micros: cap.batch_form_us },
-        StageTiming { stage: "forward".into(), micros: forward_us },
-        StageTiming { stage: "respond".into(), micros: respond_us },
-    ];
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    ring.offer(TraceRecord {
-        trace_id: ctx.trace_hex(),
-        span_id: ctx.span_hex(),
-        unix_ms,
-        route: req.path.clone(),
-        engine: cap.engine.clone(),
-        status,
-        outcome: outcome_label(status, cap).to_string(),
-        batch_size: cap.batch_size,
-        model_version: cap.model_version,
-        total_us,
-        stages,
-    });
-}
-
-/// Outcome label for a trace record: what the handler said, or the
-/// status code's default reading.
-fn outcome_label(status: u16, cap: &TraceCapture) -> &'static str {
-    if !cap.outcome.is_empty() {
-        return cap.outcome;
-    }
-    match status {
-        200 => "ok",
-        400 | 413 => "bad_input",
-        409 => "incompatible",
-        429 => "queue_full",
-        504 => "deadline",
-        _ => "error",
-    }
-}
-
-/// Reads one request from the stream. `Ok(None)` means the connection
-/// should be closed without a response (peer hung up, idle timeout,
-/// or server shutdown).
-fn read_request(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> io::Result<Option<Request>> {
-    let idle_since = Instant::now();
-    // Pipelined bytes left over from the previous request count as
-    // "already arrived".
-    let mut received: Option<Instant> = (!buf.is_empty()).then_some(idle_since);
-    let mut chunk = [0u8; 4096];
-    // Phase 1: accumulate until the blank line ending the head.
-    let head_end = loop {
-        if let Some(pos) = find_head_end(buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD {
-            return Err(io::Error::new(ErrorKind::InvalidData, "request head too large"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(ErrorKind::UnexpectedEof, "truncated request"))
-                };
-            }
-            Ok(n) => {
-                received.get_or_insert_with(Instant::now);
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shutdown.load(Ordering::Acquire)
-                    || (buf.is_empty() && idle_since.elapsed() > IDLE_TIMEOUT)
-                {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    let RequestHead { method, path, content_length, close, content_type } =
-        parse_head(&buf[..head_end])?;
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(ErrorKind::FileTooLarge, "request body too large"));
-    }
-
-    // Phase 2: the body is `content_length` bytes after the head.
-    let body_start = head_end + 4;
-    while buf.len() < body_start + content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(io::Error::new(ErrorKind::UnexpectedEof, "truncated body")),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let body = buf[body_start..body_start + content_length].to_vec();
-    // Keep any pipelined bytes for the next request on this
-    // connection.
-    buf.drain(..body_start + content_length);
-    let received = received.unwrap_or(idle_since);
-    Ok(Some(Request { method, path, close, content_type, body, received }))
-}
-
 /// Byte offset of the `\r\n\r\n` terminating a request head, if it
 /// has fully arrived.
 pub fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// The parts of a parsed request head both front ends care about.
+/// The parts of a parsed request head the server acts on.
 #[derive(Debug, Clone)]
 pub struct RequestHead {
     /// HTTP method verbatim (`GET`, `POST`, …).
@@ -533,8 +111,7 @@ pub struct RequestHead {
 }
 
 /// Parses a request head (`buf` up to, not including, the blank
-/// line). One parser for both front ends, so the thread-per-connection
-/// and epoll servers cannot drift on framing policy.
+/// line).
 ///
 /// # Errors
 ///
@@ -570,38 +147,9 @@ pub fn parse_head(head: &[u8]) -> io::Result<RequestHead> {
     Ok(RequestHead { method, path, content_length, close, content_type })
 }
 
-fn route(req: &Request, shared: &ServerShared, cap: &mut TraceCapture) -> (u16, String) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            let circuit = shared.batcher.circuit_state();
-            let fast_burn = shared.metrics.slo_fast_burn();
-            let brownout = shared.metrics.brownout_active();
-            healthz_body(shared.registry.info(), &[circuit], fast_burn, brownout)
-        }
-        ("GET", "/metrics") => (200, shared.metrics.render_prometheus()),
-        ("GET", "/metrics.json") => {
-            let snap = shared.metrics.snapshot(shared.registry.info());
-            let summary = snap.to_value();
-            let body = Value::Object(vec![
-                ("summary".into(), summary),
-                ("instruments".into(), shared.metrics.snapshot_instruments()),
-            ]);
-            (200, render(&body))
-        }
-        ("GET", "/debug/traces") => handle_traces_list(shared),
-        ("GET", path) if path.starts_with("/debug/traces/") => {
-            handle_trace_get(&path["/debug/traces/".len()..], shared)
-        }
-        ("POST", "/infer") => handle_infer(req, shared, cap),
-        ("POST", "/reload") => handle_reload(req, shared),
-        ("GET" | "POST", _) => (404, error_body("no such route")),
-        _ => (405, error_body("method not allowed")),
-    }
-}
-
 /// The `/healthz` status and JSON body. `circuits` carries one breaker
-/// state per engine replica (the classic single-worker server passes a
-/// one-element slice): `status` is `ok` only when **every** replica's
+/// state per engine replica (a pool of one passes a one-element
+/// slice): `status` is `ok` only when **every** replica's
 /// circuit is closed and no SLO budget is fast-burning; the top-level
 /// `circuit` reports the worst replica state, and a `replicas` array
 /// spells out each one.
@@ -661,14 +209,9 @@ pub fn healthz_body(
     (http_status, render(&body))
 }
 
-/// `GET /debug/traces`: ring stats plus every kept trace, newest
-/// first.
-fn handle_traces_list(shared: &ServerShared) -> (u16, String) {
-    traces_list_response(shared.trace_ring.as_deref())
-}
-
 /// The `GET /debug/traces` response against any trace ring (`None`
-/// when tracing is disabled). Shared with the pool front end.
+/// when tracing is disabled): ring stats plus every kept trace,
+/// newest first.
 pub fn traces_list_response(ring: Option<&TraceRing>) -> (u16, String) {
     let Some(ring) = ring else {
         return (404, error_body("request tracing disabled (SNN_TRACE_RING=0)"));
@@ -684,13 +227,8 @@ pub fn traces_list_response(ring: Option<&TraceRing>) -> (u16, String) {
     (200, render(&body))
 }
 
-/// `GET /debug/traces/<id>` and `/debug/traces/<id>/chrome`.
-fn handle_trace_get(rest: &str, shared: &ServerShared) -> (u16, String) {
-    trace_get_response(rest, shared.trace_ring.as_deref())
-}
-
 /// The `GET /debug/traces/<id>[/chrome]` response against any trace
-/// ring. Shared with the pool front end.
+/// ring.
 pub fn trace_get_response(rest: &str, ring: Option<&TraceRing>) -> (u16, String) {
     let Some(ring) = ring else {
         return (404, error_body("request tracing disabled (SNN_TRACE_RING=0)"));
@@ -709,74 +247,8 @@ pub fn trace_get_response(rest: &str, ring: Option<&TraceRing>) -> (u16, String)
     }
 }
 
-fn handle_infer(req: &Request, shared: &ServerShared, cap: &mut TraceCapture) -> (u16, String) {
-    if let Some(msg) = req.content_type_error() {
-        shared.metrics.bad_requests.inc();
-        cap.outcome = "bad_input";
-        return (400, error_body(&msg));
-    }
-    let parsed = std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(|text| parse_infer_body(text, shared.batcher.input_len()));
-    let (input, timeout) = match parsed {
-        Ok(p) => p,
-        Err(msg) => {
-            shared.metrics.bad_requests.inc();
-            cap.outcome = "bad_input";
-            return (400, error_body(&msg));
-        }
-    };
-    let budget = timeout.or(shared.default_timeout);
-    let deadline = budget.map(|d| Instant::now() + d);
-    cap.submitted = Some(Instant::now());
-    let waited = match shared.batcher.submit_traced(input, deadline, tracectx::current()) {
-        Err(rejection) => Err(rejection),
-        // The queue deadline plus grace bounds the whole round trip;
-        // a reply that never comes (wedged engine) turns into a typed
-        // 503 instead of a hung connection.
-        Ok(ticket) => match budget {
-            Some(d) => match ticket.wait_timeout(d + ENGINE_GRACE) {
-                Some(result) => result,
-                None => {
-                    cap.replied = Some(Instant::now());
-                    cap.outcome = "engine_timeout";
-                    return (
-                        503,
-                        error_body(&format!(
-                            "engine timed out after {}ms; request abandoned",
-                            (d + ENGINE_GRACE).as_millis()
-                        )),
-                    );
-                }
-            },
-            None => ticket.wait(),
-        },
-    };
-    cap.replied = Some(Instant::now());
-    match waited {
-        Ok(reply) => {
-            cap.outcome = "ok";
-            cap.engine = reply.output.engine.clone();
-            cap.batch_size = reply.batch_size as u64;
-            cap.model_version = reply.model_version;
-            cap.queue_us = reply.queue_us;
-            cap.batch_form_us = reply.batch_form_us;
-            (200, infer_success_body(&reply))
-        }
-        Err(rejection) => {
-            if matches!(rejection, Rejection::BadInput { .. }) {
-                shared.metrics.bad_requests.inc();
-            }
-            let (status, outcome) = rejection_status(&rejection);
-            cap.outcome = outcome;
-            (status, error_body(&rejection.to_string()))
-        }
-    }
-}
-
 /// Maps a queue [`Rejection`] to its HTTP status and trace outcome
-/// label. One table for both front ends — a pool route and a classic
-/// route must answer the same rejection identically.
+/// label.
 pub fn rejection_status(rejection: &Rejection) -> (u16, &'static str) {
     match rejection {
         Rejection::QueueFull { .. } => (429, "queue_full"),
@@ -790,8 +262,7 @@ pub fn rejection_status(rejection: &Rejection) -> (u16, &'static str) {
 }
 
 /// The `200` body for a served `/infer` request. Field order is part
-/// of the wire contract: the pool front end reuses this builder, so
-/// its responses are byte-identical to the single-worker path.
+/// of the wire contract.
 pub fn infer_success_body(reply: &crate::queue::InferReply) -> String {
     let mut entries = match reply.output.to_value() {
         Value::Object(entries) => entries,
@@ -807,8 +278,7 @@ pub fn infer_success_body(reply: &crate::queue::InferReply) -> String {
 
 /// Decodes `{"input": [...], "timeout_ms": n?}` by hand over the
 /// `Value` tree — the vendored serde derive has no optional fields, so
-/// a typed struct would reject bodies omitting `timeout_ms`. Shared
-/// with the pool front end.
+/// a typed struct would reject bodies omitting `timeout_ms`.
 ///
 /// # Errors
 ///
@@ -864,23 +334,10 @@ pub fn parse_infer_body(
     Ok((input, timeout))
 }
 
-fn handle_reload(req: &Request, shared: &ServerShared) -> (u16, String) {
-    if let Some(msg) = req.content_type_error() {
-        shared.metrics.bad_requests.inc();
-        return (400, error_body(&msg));
-    }
-    let (status, body) = apply_reload(&shared.registry, &req.body);
-    if status == 400 {
-        shared.metrics.bad_requests.inc();
-    }
-    (status, body)
-}
-
 /// Parses a `/reload` body and swaps it into the registry, returning
-/// the HTTP status and structured receipt. Shared with the pool front
-/// end — every engine replica polls the same registry version and
-/// rebuilds at its next batch boundary, so one swap retargets all
-/// replicas atomically per batch.
+/// the HTTP status and structured receipt. Every engine replica polls
+/// the same registry version and rebuilds at its next batch boundary,
+/// so one swap retargets all replicas atomically per batch.
 pub fn apply_reload(registry: &ModelRegistry, body: &[u8]) -> (u16, String) {
     // `ServedModel::from_json` sniffs the artifact flavor: f32
     // snapshots (`layers`) and quantized artifacts (`format`/`stages`)
@@ -957,11 +414,9 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Formats a complete HTTP/1.1 response (head + body) as one buffer.
-///
-/// Shared by the blocking per-connection writer here and the
-/// nonblocking pool front end, so both emit byte-identical wire
-/// output for the same (status, body) pair.
+/// Formats a complete HTTP/1.1 response (head + body) as one buffer,
+/// so it goes out in one write: head and body in separate segments
+/// trip Nagle + delayed-ACK on loopback (~40ms stalls).
 pub fn format_response(
     status: u16,
     content_type: &str,
@@ -979,8 +434,7 @@ pub fn format_response(
     );
     // Overload statuses invite the client back: admission sheds (429)
     // and circuit/shutdown sheds (503) clear on the order of the
-    // breaker cooldown, so a one-second backoff hint is honest. Both
-    // front ends emit it by construction.
+    // breaker cooldown, so a one-second backoff hint is honest.
     if status == 429 || status == 503 {
         response.push_str("Retry-After: 1\r\n");
     }
@@ -992,21 +446,6 @@ pub fn format_response(
     response.push_str("\r\n");
     response.push_str(body);
     response
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-    trace_id: Option<&str>,
-) -> io::Result<()> {
-    // One write for the whole response: head and body in separate
-    // segments trip Nagle + delayed-ACK on loopback (~40ms stalls).
-    let response = format_response(status, content_type, body, close, trace_id);
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -1029,83 +468,6 @@ mod tests {
             .build()
             .unwrap();
         NetworkSnapshot::from_network(&net)
-    }
-
-    fn start_server() -> Server {
-        let registry = Arc::new(ModelRegistry::new(snapshot(11), "demo").unwrap());
-        let cfg = ServerConfig {
-            batcher: BatcherConfig { timesteps: 2, ..BatcherConfig::default() },
-            ..ServerConfig::default()
-        };
-        Server::start(registry, cfg).unwrap()
-    }
-
-    /// Raw one-shot HTTP client: returns (status, head, body).
-    fn request_full(
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: &str,
-    ) -> (u16, String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(req.as_bytes()).unwrap();
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response).unwrap();
-        let text = String::from_utf8(response).unwrap();
-        let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .expect("status code")
-            .parse()
-            .expect("numeric status");
-        (status, head.to_string(), body.to_string())
-    }
-
-    /// Like [`request_full`] but drops the head.
-    fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-        let (status, _, body) = request_full(addr, method, path, body);
-        (status, body)
-    }
-
-    /// The `x-snn-trace-id` value from a response head.
-    fn trace_id_of(head: &str) -> String {
-        head.lines()
-            .find_map(|l| l.strip_prefix("x-snn-trace-id: "))
-            .unwrap_or_else(|| panic!("no x-snn-trace-id header in {head}"))
-            .trim()
-            .to_string()
-    }
-
-    /// Sends raw bytes and returns (status, full response text).
-    /// Unlike [`request`], makes no attempt to be a well-formed
-    /// client — that is the point.
-    fn raw_request(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(raw).unwrap();
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response).unwrap();
-        let text = String::from_utf8_lossy(&response).to_string();
-        let status = text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        (status, text)
-    }
-
-    #[test]
-    fn healthz_reports_model() {
-        let server = start_server();
-        let (status, body) = request(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"status\":\"ok\""), "body: {body}");
-        assert!(body.contains("\"degraded_mode\":\"none\""), "body: {body}");
-        assert!(body.contains("\"model\":\"demo\""), "body: {body}");
     }
 
     #[test]
@@ -1139,559 +501,4 @@ mod tests {
                 "case {circuits:?}/{burn}/{brownout}: {body}"
             );
         }
-    }
-
-    #[test]
-    fn infer_round_trip_reports_firing_rates() {
-        let server = start_server();
-        let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
-        let body = format!("{{\"input\":[{}]}}", input.join(","));
-        let (status, reply) = request(server.addr(), "POST", "/infer", &body);
-        assert_eq!(status, 200, "reply: {reply}");
-        for field in ["\"class\":", "\"counts\":", "\"layers\":", "\"rate\":", "\"batch_size\":"] {
-            assert!(reply.contains(field), "missing {field} in {reply}");
-        }
-    }
-
-    #[test]
-    fn infer_rejects_malformed_bodies() {
-        let server = start_server();
-        let cases = [
-            ("not json at all", "invalid JSON"),
-            ("[1,2,3]", "must be a JSON object"),
-            ("{\"input\":\"nope\"}", "array of numbers"),
-            ("{\"input\":[1,2,3]}", "expected 64 values"),
-            ("{\"input\":[1e999]}", "must be finite"),
-            ("{}", "missing required field"),
-        ];
-        for (body, expect) in cases {
-            let (status, reply) = request(server.addr(), "POST", "/infer", body);
-            assert_eq!(status, 400, "body {body} gave {reply}");
-            assert!(reply.contains(expect), "body {body} gave {reply}");
-        }
-        let m = server.metrics();
-        assert_eq!(m.bad_requests.get(), cases.len() as u64);
-    }
-
-    #[test]
-    fn oversized_declared_body_gets_413_without_reading_it() {
-        let server = start_server();
-        // 9MiB declared, zero bytes sent: the server must answer from
-        // the headers alone instead of buffering toward OOM.
-        let head = format!(
-            "POST /infer HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            9 * 1024 * 1024
-        );
-        let (status, text) = raw_request(server.addr(), head.as_bytes());
-        assert_eq!(status, 413, "response: {text}");
-        assert!(text.contains("too large"), "response: {text}");
-        // The instance is still healthy afterwards.
-        let (status, _) = request(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 200);
-        assert_eq!(server.metrics().bad_requests.get(), 1);
-    }
-
-    #[test]
-    fn truncated_body_and_mid_body_drop_do_not_wedge_the_server() {
-        let server = start_server();
-        // Declares 50 bytes, sends 10, then drops the connection. The
-        // read loop must diagnose the EOF instead of waiting forever.
-        {
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            stream
-                .write_all(
-                    b"POST /infer HTTP/1.1\r\nHost: t\r\nContent-Length: 50\r\n\r\n{\"input\":[",
-                )
-                .unwrap();
-            drop(stream);
-        }
-        // Truncated *JSON* with an honest Content-Length parses as a
-        // body and earns a typed 400.
-        let (status, reply) = request(server.addr(), "POST", "/infer", "{\"input\":[1,2,");
-        assert_eq!(status, 400, "reply: {reply}");
-        assert!(reply.contains("invalid JSON"), "reply: {reply}");
-        // Both abuses left the server serving.
-        let (status, body) = request(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"status\":\"ok\""), "body: {body}");
-    }
-
-    #[test]
-    fn wrong_content_type_is_rejected_with_400() {
-        let server = start_server();
-        let body = "{\"input\":[]}";
-        for path in ["/infer", "/reload"] {
-            let raw = format!(
-                "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-            let (status, text) = raw_request(server.addr(), raw.as_bytes());
-            assert_eq!(status, 400, "{path} response: {text}");
-            assert!(text.contains("unsupported content-type"), "{path} response: {text}");
-        }
-        // A correct declaration (with parameters) is accepted — the
-        // request then fails validation for its own reasons, not the
-        // header.
-        let raw = format!(
-            "POST /infer HTTP/1.1\r\nHost: t\r\nContent-Type: application/json; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        let (status, text) = raw_request(server.addr(), raw.as_bytes());
-        assert_eq!(status, 400, "response: {text}");
-        assert!(text.contains("expected 64 values"), "response: {text}");
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_503_and_healthz_degrades_then_recovers() {
-        // Threshold 1 so the single injected panic opens the circuit.
-        let plan = Arc::new(
-            snn_fault::FaultPlan::parse("panic@serve.worker:1", 0).unwrap(),
-        );
-        let _guard = snn_fault::install(plan);
-        let registry = Arc::new(ModelRegistry::new(snapshot(11), "demo").unwrap());
-        let cfg = ServerConfig {
-            batcher: BatcherConfig {
-                timesteps: 2,
-                breaker_threshold: 1,
-                breaker_cooldown: Duration::from_millis(50),
-                ..BatcherConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let server = Server::start(registry, cfg).unwrap();
-        let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 5) as f32 / 5.0)).collect();
-        let body = format!("{{\"input\":[{}]}}", input.join(","));
-
-        let (status, reply) = request(server.addr(), "POST", "/infer", &body);
-        assert_eq!(status, 503, "reply: {reply}");
-        assert!(reply.contains("panicked"), "reply: {reply}");
-
-        // Every breaker (the only one) is open: nothing can be served,
-        // so the health check must tell load balancers to back off.
-        let (status, health) = request(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 503, "all breakers open answers 503");
-        assert!(health.contains("\"status\":\"degraded\""), "health: {health}");
-        assert!(health.contains("\"degraded_mode\":\"none\""), "health: {health}");
-        assert!(health.contains("\"circuit\":\"open\""), "health: {health}");
-
-        // After the cooldown the half-open probe succeeds (the
-        // occurrence rule already fired) and service self-heals.
-        std::thread::sleep(Duration::from_millis(60));
-        let (status, reply) = request(server.addr(), "POST", "/infer", &body);
-        assert_eq!(status, 200, "probe reply: {reply}");
-        let (status, health) = request(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 200, "healed instance answers 200 again");
-        assert!(health.contains("\"status\":\"ok\""), "health: {health}");
-        assert_eq!(server.metrics().worker_panics.get(), 1);
-    }
-
-    #[test]
-    fn metrics_and_unknown_routes() {
-        let server = start_server();
-        let (status, body) = request(server.addr(), "GET", "/metrics", "");
-        assert_eq!(status, 200);
-        assert!(body.ends_with('\n'), "exposition must end with a newline");
-        for needle in [
-            "# TYPE snn_serve_requests_completed_total counter\n",
-            "# HELP snn_serve_request_latency_seconds ",
-            "# TYPE snn_serve_batch_size histogram\n",
-            "# TYPE snn_serve_queue_depth gauge\n",
-            "# TYPE snn_serve_stage_queue_wait_seconds histogram\n",
-            "# TYPE snn_slo_fast_burn gauge\n",
-        ] {
-            assert!(body.contains(needle), "missing {needle:?} in {body}");
-        }
-        // The pre-PR-3 bare-name alias series are gone.
-        for gone in ["\ncompleted 0\n", "\nreceived 0\n", "\nrejected_full 0\n"] {
-            assert!(!body.contains(gone), "legacy alias {gone:?} still present in {body}");
-        }
-        let (status, json) = request(server.addr(), "GET", "/metrics.json", "");
-        assert_eq!(status, 200);
-        for field in ["\"summary\":", "\"mean_batch_size\":", "\"latency_us\":", "\"instruments\":", "\"queue_depth\""] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        serde_json::parse(&json).expect("metrics.json body parses");
-        let (status, _) = request(server.addr(), "GET", "/nope", "");
-        assert_eq!(status, 404);
-        let (status, _) = request(server.addr(), "DELETE", "/infer", "");
-        assert_eq!(status, 405);
-    }
-
-    #[test]
-    fn reload_swaps_and_rejects() {
-        let server = start_server();
-        let good = serde_json::to_string(&snapshot(77)).unwrap();
-        let (status, body) = request(server.addr(), "POST", "/reload", &good);
-        assert_eq!(status, 200, "reply: {body}");
-        // Structured receipt: old/new version, the model's content
-        // hash, and the full info object.
-        assert!(body.contains("\"ok\":true"), "reply: {body}");
-        assert!(body.contains("\"old_version\":1"), "reply: {body}");
-        assert!(body.contains("\"new_version\":2"), "reply: {body}");
-        assert!(body.contains("\"model_hash\":\""), "reply: {body}");
-        assert!(body.contains("\"version\":2"), "reply: {body}");
-        let parsed = serde_json::parse(&body).expect("reload receipt parses");
-        if let Value::Object(fields) = parsed {
-            let hash = fields.iter().find(|(k, _)| k == "model_hash").map(|(_, v)| v.clone());
-            match hash {
-                Some(Value::String(h)) => {
-                    assert_eq!(h.len(), 16, "fnv64 hex is 16 digits, got {h}");
-                }
-                other => panic!("model_hash missing or not a string: {other:?}"),
-            }
-        } else {
-            panic!("reload receipt is not an object");
-        }
-
-        let (status, _) = request(server.addr(), "POST", "/reload", "{\"bad\":1}");
-        assert_eq!(status, 400);
-
-        // Incompatible interface: a model with a different class count.
-        let lif = LifConfig { theta: 0.5, ..LifConfig::paper_default() };
-        let other = SpikingNetwork::builder(Shape::d3(1, 8, 8), 5)
-            .flatten()
-            .unwrap()
-            .dense(9, lif)
-            .unwrap()
-            .build()
-            .unwrap();
-        let other = serde_json::to_string(&NetworkSnapshot::from_network(&other)).unwrap();
-        let (status, body) = request(server.addr(), "POST", "/reload", &other);
-        assert_eq!(status, 409, "reply: {body}");
-
-        // /healthz reflects the surviving version-2 model.
-        let (_, health) = request(server.addr(), "GET", "/healthz", "");
-        assert!(health.contains("\"version\":2"), "health: {health}");
-    }
-
-    #[test]
-    fn reload_with_quantized_artifact_serves_int8_end_to_end() {
-        let server = start_server();
-        let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
-        let infer_body = format!("{{\"input\":[{}]}}", input.join(","));
-        let (status, reply) = request(server.addr(), "POST", "/infer", &infer_body);
-        assert_eq!(status, 200, "reply: {reply}");
-        assert!(reply.contains("\"engine\":\"f32\""), "reply: {reply}");
-
-        // Quantize the served model and promote it through /reload.
-        let snap = snapshot(11);
-        let split: Vec<Vec<f32>> = (0..4)
-            .map(|s| (0..64).map(|j| ((s + j) % 7) as f32 / 7.0).collect())
-            .collect();
-        let cal = snn_quant::calibrate(&snap, &split, 2).unwrap();
-        let artifact = snn_quant::quantize_snapshot(&snap, &cal, 8).unwrap();
-        let body = serde_json::to_string(&artifact).unwrap();
-        let (status, receipt) = request(server.addr(), "POST", "/reload", &body);
-        assert_eq!(status, 200, "receipt: {receipt}");
-        assert!(receipt.contains("\"dtype\":\"int8\""), "receipt: {receipt}");
-        assert!(receipt.contains("\"quant\":"), "receipt: {receipt}");
-        assert!(receipt.contains("\"bits\":8"), "receipt: {receipt}");
-
-        // /healthz reflects the dtype, /infer runs the integer engine,
-        // /metrics counts the route.
-        let (_, health) = request(server.addr(), "GET", "/healthz", "");
-        assert!(health.contains("\"dtype\":\"int8\""), "health: {health}");
-        let (status, reply) = request(server.addr(), "POST", "/infer", &infer_body);
-        assert_eq!(status, 200, "reply: {reply}");
-        assert!(reply.contains("\"engine\":\"int8\""), "reply: {reply}");
-        for field in ["\"class\":", "\"counts\":", "\"layers\":", "\"rate\":"] {
-            assert!(reply.contains(field), "missing {field} in {reply}");
-        }
-        let (_, metrics) = request(server.addr(), "GET", "/metrics", "");
-        assert!(
-            metrics.contains("snn_serve_engine_int8_requests_total 1"),
-            "metrics: {metrics}"
-        );
-        assert!(
-            metrics.contains("snn_serve_engine_f32_requests_total 1"),
-            "metrics: {metrics}"
-        );
-
-        // A quantized artifact with a mismatched interface still 409s.
-        let other_q = {
-            let lif = LifConfig { theta: 0.5, ..LifConfig::paper_default() };
-            let small = SpikingNetwork::builder(Shape::d3(1, 6, 6), 5)
-                .flatten()
-                .unwrap()
-                .dense(4, lif)
-                .unwrap()
-                .build()
-                .unwrap();
-            let ssnap = NetworkSnapshot::from_network(&small);
-            let split: Vec<Vec<f32>> = (0..3).map(|_| vec![0.5f32; 36]).collect();
-            let cal = snn_quant::calibrate(&ssnap, &split, 2).unwrap();
-            snn_quant::quantize_snapshot(&ssnap, &cal, 8).unwrap()
-        };
-        let (status, body) =
-            request(server.addr(), "POST", "/reload", &serde_json::to_string(&other_q).unwrap());
-        assert_eq!(status, 409, "reply: {body}");
-    }
-
-    #[test]
-    fn shutdown_is_clean_and_idempotent() {
-        let mut server = start_server();
-        let addr = server.addr();
-        let (status, _) = request(addr, "GET", "/healthz", "");
-        assert_eq!(status, 200);
-        server.shutdown();
-        server.shutdown();
-        // After shutdown the listener is gone: either the connection
-        // is refused or it resets without a response.
-        let gone = match TcpStream::connect(addr) {
-            Err(_) => true,
-            Ok(mut s) => {
-                let _ = s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-                let mut out = Vec::new();
-                matches!(s.read_to_end(&mut out), Ok(0) | Err(_)) && out.is_empty()
-            }
-        };
-        assert!(gone, "server still answering after shutdown");
-    }
-
-    // --- JSON navigation helpers for the vendored serde Value.
-
-    fn get<'a>(v: &'a Value, k: &str) -> Option<&'a Value> {
-        v.as_object()?.iter().find(|(n, _)| n == k).map(|(_, x)| x)
-    }
-
-    fn get_str<'a>(v: &'a Value, k: &str) -> Option<&'a str> {
-        match get(v, k)? {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn get_num(v: &Value, k: &str) -> Option<f64> {
-        match get(v, k)? {
-            Value::Number(n) => Some(*n),
-            Value::BigInt(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    fn traced_server(policy: snn_obs::TailPolicy) -> Server {
-        let registry = Arc::new(ModelRegistry::new(snapshot(11), "demo").unwrap());
-        let cfg = ServerConfig {
-            batcher: BatcherConfig { timesteps: 2, ..BatcherConfig::default() },
-            trace_ring: Some(Arc::new(TraceRing::new(64, policy))),
-            ..ServerConfig::default()
-        };
-        Server::start(registry, cfg).unwrap()
-    }
-
-    #[test]
-    fn infer_trace_is_locatable_by_header_id_with_five_stages_summing_to_wall() {
-        let server = traced_server(snn_obs::TailPolicy::default());
-        let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
-        let body = format!("{{\"input\":[{}]}}", input.join(","));
-        let (status, head, reply) = request_full(server.addr(), "POST", "/infer", &body);
-        assert_eq!(status, 200, "reply: {reply}");
-        assert!(reply.contains("\"batch_form_us\":"), "reply: {reply}");
-        let id = trace_id_of(&head);
-        assert!(snn_obs::tracectx::is_trace_hex(&id), "malformed id {id}");
-
-        // Non-traced routes still carry the header.
-        let (_, head, _) = request_full(server.addr(), "GET", "/healthz", "");
-        assert_ne!(trace_id_of(&head), id, "each request gets its own id");
-
-        let (status, listing) = request(server.addr(), "GET", "/debug/traces", "");
-        assert_eq!(status, 200, "listing: {listing}");
-        let parsed = serde_json::parse(&listing).unwrap();
-        assert_eq!(get_num(&parsed, "capacity"), Some(64.0));
-        assert!(get_num(&parsed, "kept").unwrap() >= 1.0, "listing: {listing}");
-
-        let (status, rec) = request(server.addr(), "GET", &format!("/debug/traces/{id}"), "");
-        assert_eq!(status, 200, "record: {rec}");
-        let rec = serde_json::parse(&rec).unwrap();
-        assert_eq!(get_str(&rec, "trace_id"), Some(id.as_str()));
-        assert_eq!(get_str(&rec, "route"), Some("/infer"));
-        assert_eq!(get_str(&rec, "outcome"), Some("ok"));
-        assert_eq!(get_str(&rec, "engine"), Some("f32"));
-        assert!(get_num(&rec, "batch_size").unwrap() >= 1.0);
-        let total = get_num(&rec, "total_us").unwrap();
-        let Some(Value::Array(stages)) = get(&rec, "stages") else { panic!("stages missing") };
-        let names: Vec<&str> =
-            stages.iter().map(|s| get_str(s, "stage").unwrap()).collect();
-        assert_eq!(names, ["parse", "queue_wait", "batch_form", "forward", "respond"]);
-        let sum: f64 = stages.iter().map(|s| get_num(s, "micros").unwrap()).sum();
-        assert!(
-            (sum - total).abs() <= 0.05 * total + 5.0,
-            "stages sum {sum}us vs wall {total}us"
-        );
-        assert!(
-            stages.iter().any(|s| get_num(s, "micros").unwrap() > 0.0),
-            "all stages zero: {stages:?}"
-        );
-
-        // Chrome export: meta event + one X event per stage.
-        let (status, chrome) =
-            request(server.addr(), "GET", &format!("/debug/traces/{id}/chrome"), "");
-        assert_eq!(status, 200, "chrome: {chrome}");
-        let Value::Array(events) = serde_json::parse(&chrome).unwrap() else {
-            panic!("chrome export must be an array")
-        };
-        assert_eq!(events.len(), 1 + 5, "chrome: {chrome}");
-
-        // Unknown and malformed ids answer typed errors.
-        let (status, _) =
-            request(server.addr(), "GET", &format!("/debug/traces/{}", "0".repeat(32)), "");
-        assert_eq!(status, 404);
-        let (status, _) = request(server.addr(), "GET", "/debug/traces/nope", "");
-        assert_eq!(status, 400);
-    }
-
-    #[test]
-    fn tail_sampling_drops_fast_successes_but_keeps_client_errors() {
-        // sample=0, slow threshold unreachable: only failures survive.
-        let server = traced_server(snn_obs::TailPolicy { slow_us: u64::MAX, sample: 0.0 });
-        let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
-        let ok_body = format!("{{\"input\":[{}]}}", input.join(","));
-        let (status, head, _) = request_full(server.addr(), "POST", "/infer", &ok_body);
-        assert_eq!(status, 200);
-        let ok_id = trace_id_of(&head);
-        let (status, head, _) = request_full(server.addr(), "POST", "/infer", "{\"input\":[1]}");
-        assert_eq!(status, 400);
-        let bad_id = trace_id_of(&head);
-
-        let (_, rec) = request(server.addr(), "GET", &format!("/debug/traces/{ok_id}"), "");
-        assert!(rec.contains("no such trace"), "fast success must be sampled out: {rec}");
-        let (status, rec) = request(server.addr(), "GET", &format!("/debug/traces/{bad_id}"), "");
-        assert_eq!(status, 200, "error outcome must always be kept: {rec}");
-        assert!(rec.contains("\"outcome\":\"bad_input\""), "record: {rec}");
-    }
-
-    #[test]
-    fn debug_traces_404_when_tracing_disabled() {
-        let registry = Arc::new(ModelRegistry::new(snapshot(11), "demo").unwrap());
-        let cfg = ServerConfig {
-            batcher: BatcherConfig { timesteps: 2, ..BatcherConfig::default() },
-            trace_ring: None,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(registry, cfg).unwrap();
-        let (status, body) = request(server.addr(), "GET", "/debug/traces", "");
-        assert_eq!(status, 404, "body: {body}");
-        assert!(body.contains("tracing disabled"), "body: {body}");
-    }
-
-    #[test]
-    fn healthz_degrades_on_fast_slo_burn() {
-        let registry = Arc::new(ModelRegistry::new(snapshot(11), "demo").unwrap());
-        let cfg = ServerConfig {
-            batcher: BatcherConfig { timesteps: 2, ..BatcherConfig::default() },
-            slo: Some(SloConfig::parse("avail=99.9").unwrap()),
-            ..ServerConfig::default()
-        };
-        let server = Server::start(registry, cfg).unwrap();
-        let (_, health) = request(server.addr(), "GET", "/healthz", "");
-        assert!(health.contains("\"status\":\"ok\""), "health: {health}");
-        assert!(health.contains("\"slo_fast_burn\":false"), "health: {health}");
-        // Burn the error budget far past the fast threshold.
-        for _ in 0..50 {
-            server.metrics().slo_record(false, 1_000);
-        }
-        // Fast burn with no brownout artifact published means there is
-        // no mitigation: the health check flips hard to 503.
-        let (status, health) = request(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 503, "unmitigated fast burn answers 503");
-        assert!(health.contains("\"status\":\"degraded\""), "health: {health}");
-        assert!(health.contains("\"degraded_mode\":\"none\""), "health: {health}");
-        assert!(health.contains("\"slo_fast_burn\":true"), "health: {health}");
-        assert!(health.contains("\"circuit\":\"closed\""), "degradation is SLO-driven");
-        let (_, metrics) = request(server.addr(), "GET", "/metrics", "");
-        assert!(metrics.contains("\nsnn_slo_fast_burn 1\n"), "metrics: {metrics}");
-    }
-
-    /// Satellite: the text and JSON expositions must not drift. Every
-    /// sample in `/metrics` must appear in `/metrics.json` — with the
-    /// same value for this instance's families (globals are shared
-    /// with concurrently running tests, so only presence is asserted
-    /// there) — and histogram sums/counts must be consistent with
-    /// their buckets.
-    #[test]
-    fn metrics_text_and_json_expositions_agree() {
-        let server = start_server();
-        let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
-        let body = format!("{{\"input\":[{}]}}", input.join(","));
-        for _ in 0..3 {
-            let (status, _) = request(server.addr(), "POST", "/infer", &body);
-            assert_eq!(status, 200);
-        }
-        let (_, text) = request(server.addr(), "GET", "/metrics", "");
-        let (_, json) = request(server.addr(), "GET", "/metrics.json", "");
-        let parsed = serde_json::parse(&json).unwrap();
-        let Some(Value::Array(instruments)) = get(&parsed, "instruments") else {
-            panic!("no instruments array in {json}")
-        };
-
-        // Reconstruct the expected sample set from the JSON dump.
-        let mut expected: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
-        for inst in instruments {
-            let name = get_str(inst, "name").unwrap().to_string();
-            match get_str(inst, "kind").unwrap() {
-                "histogram" => {
-                    let Some(Value::Array(bounds)) = get(inst, "bounds") else { panic!() };
-                    let Some(Value::Array(counts)) = get(inst, "counts") else { panic!() };
-                    let nums = |xs: &[Value]| -> Vec<f64> {
-                        xs.iter()
-                            .map(|x| match x {
-                                Value::Number(n) => *n,
-                                Value::BigInt(i) => *i as f64,
-                                other => panic!("non-numeric {other:?}"),
-                            })
-                            .collect()
-                    };
-                    let bounds = nums(bounds);
-                    let counts = nums(counts);
-                    assert_eq!(counts.len(), bounds.len() + 1, "{name}: overflow bucket");
-                    let sum = get_num(inst, "sum").unwrap();
-                    let count = get_num(inst, "count").unwrap();
-                    let max = get_num(inst, "max").unwrap();
-                    // Bucket consistency: totals match, mean <= max.
-                    let total: f64 = counts.iter().sum();
-                    assert_eq!(total, count, "{name}: bucket counts vs count");
-                    if count > 0.0 {
-                        assert!(sum / count <= max + 1e-9, "{name}: mean above max");
-                    }
-                    let mut cum = 0.0;
-                    for (b, c) in bounds.iter().zip(&counts) {
-                        cum += c;
-                        expected.insert(format!("{name}_bucket{{le=\"{b}\"}}"), cum);
-                    }
-                    expected.insert(format!("{name}_bucket{{le=\"+Inf\"}}"), count);
-                    expected.insert(format!("{name}_sum"), sum);
-                    expected.insert(format!("{name}_count"), count);
-                }
-                _ => {
-                    expected.insert(name.clone(), get_num(inst, "value").unwrap());
-                }
-            }
-        }
-
-        let mut samples = 0usize;
-        for line in text.lines() {
-            if line.starts_with('#') || line.is_empty() {
-                continue;
-            }
-            samples += 1;
-            let (name, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("bad line {line}"));
-            let got = expected
-                .get(name)
-                .unwrap_or_else(|| panic!("`{name}` in /metrics but not /metrics.json"));
-            // Instance families must agree exactly; global families
-            // (snn_fault_*, …) race with other tests in this process.
-            if name.starts_with("snn_serve_") || name.starts_with("snn_slo_") {
-                let value: f64 = value.parse().unwrap_or_else(|_| panic!("bad value {line}"));
-                assert!(
-                    (got - value).abs() <= 1e-9 * value.abs().max(1.0),
-                    "`{name}`: text {value} vs json {got}"
-                );
-            }
-        }
-        assert!(samples > 40, "suspiciously small exposition ({samples} samples):\n{text}");
-        assert!(
-            text.contains("\nsnn_serve_stage_queue_wait_seconds_count 3\n"),
-            "stage histogram missed the 3 requests: {text}"
-        );
-    }
-}
+    }}

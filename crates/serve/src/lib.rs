@@ -6,7 +6,7 @@
 //! the surrogate) pays off at *inference* time; this crate is where
 //! that payoff becomes end-to-end request latency and throughput.
 //!
-//! Four layers, composed bottom-up:
+//! The layers, composed bottom-up:
 //!
 //! * [`engine`] — [`InferenceEngine`]: forward-only execution of a
 //!   snapshot. No BPTT caches, per-engine scratch reuse, and
@@ -31,13 +31,14 @@
 //!   never a hang); repeated failures open the circuit, shedding load
 //!   until a half-open probe succeeds. `/healthz` reports `degraded`
 //!   while the circuit is not closed.
-//! * [`http`] — [`Server`]: a minimal hermetic HTTP/1.1 front end on
-//!   `std::net::TcpListener` with `/infer`, `/healthz`, `/metrics`,
-//!   `/reload`, and `/debug/traces`. The parsing and rendering
-//!   primitives ([`http::parse_head`], [`http::parse_infer_body`],
-//!   [`http::infer_success_body`], [`http::format_response`], …) are
-//!   public so the `snn-pool` event-driven front end produces
-//!   byte-identical responses by construction.
+//! * [`http`] — the HTTP/1.1 protocol surface as pure functions:
+//!   head framing ([`http::parse_head`]), `/infer` body decoding
+//!   ([`http::parse_infer_body`]), the route body builders
+//!   ([`http::infer_success_body`], [`http::healthz_body`],
+//!   [`http::apply_reload`], …) and [`http::format_response`]. The
+//!   one server that speaks it is `snn-pool`'s epoll front end
+//!   (`snn_pool::PoolServer`), which `snn serve` runs at every
+//!   replica count, one replica included.
 //!
 //! ## Observability
 //!
@@ -96,8 +97,8 @@ pub use engine::{InferenceEngine, LayerFiring, RequestOutput};
 pub use http::{
     apply_reload, content_type_error, error_body, find_head_end, format_response, healthz_body,
     infer_success_body, parse_head, parse_infer_body, rejection_status, trace_get_response,
-    traces_list_response, RequestHead, ServeError, Server, ServerConfig, ENGINE_GRACE,
-    IDLE_TIMEOUT, MAX_BODY, MAX_HEAD,
+    traces_list_response, RequestHead, ServeError, ENGINE_GRACE, IDLE_TIMEOUT, MAX_BODY,
+    MAX_HEAD,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use qengine::{AnyEngine, QuantEngine};

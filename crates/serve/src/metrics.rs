@@ -465,29 +465,19 @@ impl Metrics {
         }
     }
 
-    /// Prometheus text exposition of this instance's instruments
-    /// followed by the process-wide global registry, with `# HELP`/`#
-    /// TYPE` per family and a trailing newline.
+    /// Prometheus text exposition, with `# HELP`/`# TYPE` per family
+    /// and a trailing newline: this instance's instruments, then a
+    /// second, caller-owned registry, then the process-wide global
+    /// registry. The pool front end keeps its per-replica labeled
+    /// series (`replica="<i>"`) and router counters in `extra`, so both
+    /// expositions show them without the shared instance registry
+    /// learning about replication. The process-wide
+    /// `snn_fault_injected_total` / `snn_recovery_total` counters ride
+    /// in with the global registry — snn-fault registers them there.
     ///
     /// The pre-PR-3 bare-name alias series (`received`, `completed`,
     /// …) are gone as of this release — scrape the `snn_serve_*`
     /// families (see CHANGELOG.md).
-    pub fn render_prometheus(&self) -> String {
-        self.update_slo_gauges();
-        let mut out = self.registry.render_prometheus();
-        // The process-wide `snn_fault_injected_total` /
-        // `snn_recovery_total` counters ride in with the global
-        // registry below — snn-fault registers them there.
-        out.push_str(&snn_obs::global().render_prometheus());
-        out
-    }
-
-    /// [`Metrics::render_prometheus`] with a second, caller-owned
-    /// registry merged in between the instance and global sections.
-    /// The pool front end keeps its per-replica labeled series
-    /// (`replica="<i>"`) and router counters there, so both
-    /// expositions show them without the shared instance registry
-    /// learning about replication.
     pub fn render_prometheus_with(&self, extra: &Registry) -> String {
         self.update_slo_gauges();
         let mut out = self.registry.render_prometheus();
@@ -496,24 +486,11 @@ impl Metrics {
         out
     }
 
-    /// Structured JSON form of the same merged exposition: this
-    /// instance's instruments followed by the global registry's, as a
-    /// [`serde::Value`] array.
-    pub fn snapshot_instruments(&self) -> serde::Value {
-        self.update_slo_gauges();
-        let mut items = match self.registry.snapshot_value() {
-            serde::Value::Array(items) => items,
-            other => vec![other],
-        };
-        if let serde::Value::Array(global_items) = snn_obs::global().snapshot_value() {
-            items.extend(global_items);
-        }
-        serde::Value::Array(items)
-    }
-
-    /// [`Metrics::snapshot_instruments`] with a caller-owned registry
-    /// merged in, mirroring [`Metrics::render_prometheus_with`] so the
-    /// text and JSON expositions always agree on the instrument set.
+    /// Structured JSON form of [`Metrics::render_prometheus_with`]'s
+    /// exposition, as a [`serde::Value`] array: this instance's
+    /// instruments, then `extra`'s, then the global registry's — so
+    /// the text and JSON expositions always agree on the instrument
+    /// set.
     pub fn snapshot_instruments_with(&self, extra: &Registry) -> serde::Value {
         self.update_slo_gauges();
         let mut items = match self.registry.snapshot_value() {
@@ -665,7 +642,7 @@ mod tests {
         m.record_engine_requests("weird", 9);
         assert_eq!(m.engine_f32_requests.get(), 3);
         assert_eq!(m.engine_int8_requests.get(), 2);
-        let text = m.render_prometheus();
+        let text = m.render_prometheus_with(&Registry::new());
         assert!(text.contains("snn_serve_engine_f32_requests_total 3"), "{text}");
         assert!(text.contains("snn_serve_engine_int8_requests_total 2"), "{text}");
         let s = m.snapshot(model());
@@ -687,7 +664,7 @@ mod tests {
         let m = Metrics::default();
         m.received.add(3);
         m.record_latency(1500);
-        let text = m.render_prometheus();
+        let text = m.render_prometheus_with(&Registry::new());
         assert!(text.ends_with('\n'));
         for needle in [
             "# TYPE snn_serve_requests_received_total counter\n",
@@ -723,7 +700,7 @@ mod tests {
             m.slo_record(i % 2 == 0, 1_000);
         }
         assert!(m.slo_fast_burn());
-        let text = m.render_prometheus();
+        let text = m.render_prometheus_with(&Registry::new());
         assert!(text.contains("snn_slo_fast_burn 1\n"), "{text}");
         // render refreshed the gauges; the budget (1 - 0.999) is not
         // an exact float, so compare numerically rather than textually.
@@ -735,7 +712,7 @@ mod tests {
         // Untracked metrics instances keep the gauges at rest.
         let idle = Metrics::with_slo(None);
         assert!(!idle.slo_fast_burn());
-        assert!(idle.render_prometheus().contains("snn_slo_fast_burn 0\n"));
+        assert!(idle.render_prometheus_with(&Registry::new()).contains("snn_slo_fast_burn 0\n"));
     }
 
     #[test]

@@ -65,11 +65,6 @@ pub struct BatcherConfig {
     /// limit starting at `capacity` (no behavior change until
     /// congestion evidence arrives).
     pub admission: AdmissionConfig,
-    /// Injection-site name the worker's panic checkpoint uses. The
-    /// pool front end renames its replicas' workers to `pool.replica`
-    /// so chaos plans can kill a replica without touching classic
-    /// single-worker servers.
-    pub fault_site: String,
 }
 
 impl Default for BatcherConfig {
@@ -82,7 +77,6 @@ impl Default for BatcherConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             admission: AdmissionConfig::default(),
-            fault_site: "serve.worker".into(),
         }
     }
 }
@@ -190,19 +184,8 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(Rejection::ShuttingDown))
     }
 
-    /// Like [`Ticket::wait`] but gives up after `timeout`; `None`
-    /// means the request is still in flight (and stays so — the ticket
-    /// is consumed).
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Result<InferReply, Rejection>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Some(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(Rejection::ShuttingDown)),
-        }
-    }
-
     /// Nonblocking poll: `None` while the request is still in flight,
-    /// `Some` once it resolved. Unlike the `wait*` methods this takes
+    /// `Some` once it resolved. Unlike [`Ticket::wait`] this takes
     /// `&mut self`, so an event loop can keep the ticket and poll it
     /// each tick. A vanished worker reads as [`Rejection::ShuttingDown`].
     pub fn try_wait(&mut self) -> Option<Result<InferReply, Rejection>> {
@@ -353,28 +336,15 @@ impl Batcher {
         input: Vec<f32>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, Rejection> {
-        self.submit_traced(input, deadline, None)
+        self.submit_inner(input.len(), move || input, deadline, None)
     }
 
-    /// [`Batcher::submit`] with the owning request's [`TraceContext`]
-    /// attached; the worker installs it around the batch it rides in.
-    ///
-    /// # Errors
-    ///
-    /// Same rejections as [`Batcher::submit`].
-    pub fn submit_traced(
-        &self,
-        input: Vec<f32>,
-        deadline: Option<Instant>,
-        trace: Option<TraceContext>,
-    ) -> Result<Ticket, Rejection> {
-        self.submit_inner(input.len(), move || input, deadline, trace)
-    }
-
-    /// [`Batcher::submit_traced`] over a borrowed input: the slice is
-    /// cloned only once admission succeeds (at enqueue), so the pool
-    /// router can retry the same request against another replica after
-    /// a rejection without re-allocating per attempt.
+    /// [`Batcher::submit`] over a borrowed input, with the owning
+    /// request's [`TraceContext`] attached; the worker installs it
+    /// around the batch it rides in. The slice is cloned only once
+    /// admission succeeds (at enqueue), so the pool router can retry
+    /// the same request against another replica after a rejection
+    /// without re-allocating per attempt.
     ///
     /// # Errors
     ///
@@ -582,7 +552,7 @@ fn run_worker(
         // worker thread — a dead worker would hang every future ticket.
         let inputs: Vec<Vec<f32>> = batch.iter().map(|j| j.input.clone()).collect();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            snn_fault::inject_panic(&cfg.fault_site);
+            snn_fault::inject_panic("serve.worker");
 
             // Phase 5: if the model was hot-swapped (or the engine was
             // discarded after a panic), rebuild so a batch never mixes

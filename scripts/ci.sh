@@ -29,10 +29,11 @@ cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-q
 cargo test -q --offline -p snn-tensor --test qmat_exactness
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Serve smoke test: boot the model server on an ephemeral port, round
-# trip /healthz and /infer, and shut it down cleanly. SNN_LOG and
-# SNN_SLO are set so the trace smoke test below also covers the
-# structured event log and the SLO burn-rate gauges.
+# Serve smoke test: boot the model server (the epoll front end with
+# its default single engine replica) on an ephemeral port, round trip
+# /healthz and /infer, and require SIGTERM to drain it to exit 0.
+# SNN_LOG and SNN_SLO are set so the trace smoke test below also
+# covers the structured event log and the SLO burn-rate gauges.
 serve_log="$(mktemp)"
 events_log="$(mktemp)"
 SNN_LOG="info:$events_log" SNN_SLO="p99=25ms,avail=99.9" \
@@ -49,6 +50,8 @@ for _ in $(seq 50); do
   sleep 0.1
 done
 [ -n "$addr" ] || { cat "$serve_log"; echo "ci.sh: serve never reported its address" >&2; exit 1; }
+grep -q '^pool: 1 ' "$serve_log" \
+  || { cat "$serve_log"; echo "ci.sh: serve did not start a pool of one" >&2; exit 1; }
 
 health="$(curl -sf --max-time 5 "http://$addr/healthz")" \
   || { cat "$serve_log"; echo "ci.sh: /healthz request failed" >&2; exit 1; }
@@ -113,7 +116,10 @@ rm -f "$headers" "$trace_json" "$traces_list"
 echo "ci.sh: request-tracing smoke test passed ($trace_id)"
 
 kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
+serve_rc=0
+wait "$serve_pid" || serve_rc=$?
+[ "$serve_rc" -eq 0 ] \
+  || { cat "$serve_log"; echo "ci.sh: serve exited with status $serve_rc on SIGTERM" >&2; exit 1; }
 trap - EXIT
 rm -f "$serve_log" "$events_log"
 echo "ci.sh: serve smoke test passed ($addr)"
@@ -348,7 +354,7 @@ heal_text="$(mktemp)"
 heal_json="$(mktemp)"
 heal_pid=""
 trap 'kill "$heal_pid" 2>/dev/null || true; rm -f "$heal_log" "$heal_text" "$heal_json"' EXIT
-SNN_FAULTS="panic@pool.replica:3" \
+SNN_FAULTS="panic@serve.worker:3" \
   target/release/snn serve --demo 8 --addr 127.0.0.1:0 --timesteps 2 --replicas 2 \
   --breaker-threshold 1 --quarantine-trips 1 --drain-ms 3000 >"$heal_log" 2>&1 &
 heal_pid=$!
