@@ -44,22 +44,18 @@
 mod alloc;
 mod device;
 mod event_sim;
-mod fixed;
 mod mapper;
 mod pipeline;
 mod power;
-mod quant;
 mod report;
 mod workload;
 
 pub use alloc::{allocate, AllocError, Allocation, PeCost, StageAllocation};
 pub use device::FpgaDevice;
 pub use event_sim::{simulate_trace, EventSimReport, SimError, StageSimStats};
-pub use fixed::{evaluate_fixed, FixedError, FixedEvalReport, FixedNetwork, FixedSpec};
 pub use mapper::{AcceleratorConfig, MapError};
 pub use pipeline::{schedule, PipelineTiming, StageTiming, DEFAULT_SYNC_OVERHEAD};
 pub use power::{power, PowerBreakdown};
-pub use quant::{quantize_snapshot, QuantizedTensor};
 pub use report::AccelReport;
 pub use workload::{
     ModelWorkload, StageKind, StageWorkload, WorkloadError, POTENTIAL_BYTES, WEIGHT_BYTES,

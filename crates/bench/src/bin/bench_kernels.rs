@@ -18,10 +18,11 @@
 //!   timings show scheduling overhead, not speedup.
 //! * **Density sweep** — times the event-driven datapath against the
 //!   dense route at input sparsities 50/75/90/95/99%, serially, for
-//!   conv2d (dispatcher-forced routes), the spike-gather GEMM, the
-//!   masked LIF step, and an end-to-end network forward pass
-//!   (adaptive dispatch vs pinned dense). This is the figure backing
-//!   the "inference cost scales with firing rate" claim.
+//!   conv2d (dispatcher-forced routes, f32 and int8), the dense-layer
+//!   spike-gather GEMM, the masked LIF step, and an end-to-end network
+//!   forward pass (adaptive dispatch vs pinned dense). This is the
+//!   figure backing the "inference cost scales with firing rate"
+//!   claim.
 //!
 //! `--smoke` shrinks every shape and the default rep count so the
 //! whole run finishes in seconds; CI uses it to regression-gate the
@@ -159,33 +160,6 @@ struct SweepPoint {
     event_speedup: f64,
 }
 
-/// Conv sweep row. Three datapaths on the same sparsity pattern:
-/// the classic dense pipeline, the routed dense pipeline (which
-/// already exploits binary sparsity via the spike-gather GEMM), and
-/// the event-driven scatter route.
-#[derive(Serialize)]
-struct ConvSweepPoint {
-    /// Nominal zero fraction of the input, %.
-    sparsity_pct: u64,
-    /// Measured nonzero fraction of the binary input.
-    input_density: f64,
-    /// im2col + dense GEMM, serial — timed on an analog-valued input
-    /// with the identical sparsity pattern, where the binary-only
-    /// spike-gather acceleration cannot engage. The density-blind
-    /// baseline every speedup is quoted against.
-    dense_seconds: f64,
-    /// The routed dense path on the binary input (im2col + measured-
-    /// density spike-gather GEMM), serial.
-    spike_gemm_seconds: f64,
-    /// The event-driven scatter route, serial.
-    event_seconds: f64,
-    /// `dense_seconds / event_seconds`.
-    event_speedup: f64,
-    /// `spike_gemm_seconds / event_seconds` — the gain over the best
-    /// non-event route, i.e. what the dispatcher actually buys.
-    event_vs_spike_gemm: f64,
-}
-
 #[derive(Serialize)]
 struct ConvDensitySweep {
     in_channels: usize,
@@ -193,7 +167,10 @@ struct ConvDensitySweep {
     kernel: usize,
     image: usize,
     batch: usize,
-    points: Vec<ConvSweepPoint>,
+    /// `dense_seconds` forces the im2col + GEMM route and
+    /// `event_seconds` the event-driven scatter route, on the same
+    /// binary input.
+    points: Vec<SweepPoint>,
 }
 
 #[derive(Serialize)]
@@ -237,8 +214,8 @@ struct Int8ConvSweepPoint {
     sparsity_pct: u64,
     /// Measured nonzero fraction of the binary input.
     input_density: f64,
-    /// f32 im2col + dense GEMM on an analog input with the identical
-    /// sparsity pattern (density-blind baseline).
+    /// f32 im2col + dense GEMM on the same input (density-blind
+    /// baseline).
     f32_dense_seconds: f64,
     /// int8 dense route: u8 im2col + integer GEMM, forced.
     dense_seconds: f64,
@@ -439,8 +416,8 @@ fn bench_lif(reps: usize, host: usize, sz: &Sizes) -> LifBench {
     LifBench { elements: input.len(), scaling }
 }
 
-/// Conv density sweep: dense GEMM baseline, routed dense
-/// (spike-gather), and dispatcher-forced event route, serial.
+/// Conv density sweep: dispatcher-forced dense and event routes,
+/// serial.
 fn sweep_conv(reps: usize, sz: &Sizes) -> ConvDensitySweep {
     let (cin, cout, img, batch) = sz.conv;
     let g = Conv2dGeometry::new(cin, cout, 3, 1, 1, img, img).expect("valid geometry");
@@ -451,17 +428,8 @@ fn sweep_conv(reps: usize, sz: &Sizes) -> ConvDensitySweep {
         .iter()
         .map(|&sp| {
             let x = spike_tensor(Shape::d4(batch, cin, img, img), 19 + sp, 100 - sp);
-            // The same sparsity pattern with non-binary values: the
-            // spike-gather GEMM (binary-only) cannot engage, so this
-            // times the density-blind dense pipeline.
-            let x_analog = x.map(|v| v * 0.7);
             set_event_density_threshold(-1.0);
             let dense_seconds = time_serial(reps, || {
-                let (_, r) =
-                    conv2d_forward_routed(&g, &x_analog, &w, &b, &mut scratch).expect("shapes");
-                assert_eq!(r, ConvRoute::Dense);
-            });
-            let spike_gemm_seconds = time_serial(reps, || {
                 let (_, r) = conv2d_forward_routed(&g, &x, &w, &b, &mut scratch).expect("shapes");
                 assert_eq!(r, ConvRoute::Dense);
             });
@@ -471,14 +439,12 @@ fn sweep_conv(reps: usize, sz: &Sizes) -> ConvDensitySweep {
                 assert_eq!(r, ConvRoute::Event);
             });
             set_event_density_threshold(f32::NAN); // back to env/default
-            ConvSweepPoint {
+            SweepPoint {
                 sparsity_pct: sp,
                 input_density: measured_density(&x),
                 dense_seconds,
-                spike_gemm_seconds,
                 event_seconds,
                 event_speedup: dense_seconds / event_seconds,
-                event_vs_spike_gemm: spike_gemm_seconds / event_seconds,
             }
         })
         .collect();
@@ -511,13 +477,11 @@ fn sweep_conv_int8(reps: usize, sz: &Sizes) -> Int8ConvDensitySweep {
         .iter()
         .map(|&sp| {
             let x = spike_tensor(Shape::d4(batch, cin, img, img), 19 + sp, 100 - sp);
-            let x_analog = x.map(|v| v * 0.7);
             let xq: Vec<u8> = x.as_slice().iter().map(|&v| u8::from(v != 0.0)).collect();
             set_event_density_threshold(-1.0);
             let f32_dense_seconds = time_serial(reps, || {
                 let (_, r) =
-                    conv2d_forward_routed(&g, &x_analog, &w_f32, &b_f32, &mut scratch)
-                        .expect("shapes");
+                    conv2d_forward_routed(&g, &x, &w_f32, &b_f32, &mut scratch).expect("shapes");
                 assert_eq!(r, ConvRoute::Dense);
             });
             let dense_seconds = time_serial(reps, || {
@@ -695,24 +659,6 @@ fn print_scaling(label: &str, r: &ScalingResult) {
     }
 }
 
-fn print_conv_sweep(title: &str, points: &[ConvSweepPoint]) {
-    println!("{title}:");
-    println!("  sparsity   density   dense ms   gather ms   event ms   vs dense   vs gather");
-    for p in points {
-        println!(
-            "  {:>7}%   {:>6.3}   {:>8.3}   {:>9.3}   {:>8.3}   {:>7.2}x   {:>8.2}x",
-            p.sparsity_pct,
-            p.input_density,
-            p.dense_seconds * 1e3,
-            p.spike_gemm_seconds * 1e3,
-            p.event_seconds * 1e3,
-            p.event_speedup,
-            p.event_vs_spike_gemm
-        );
-    }
-    println!();
-}
-
 fn print_sweep(title: &str, points: &[SweepPoint]) {
     println!("{title}:");
     println!("  sparsity   density   dense ms   event ms   speedup");
@@ -826,10 +772,7 @@ fn main() {
 
     println!("=== density sweep: event-driven vs dense routes, serial ===\n");
     let conv_sweep = sweep_conv(reps, &sizes);
-    print_conv_sweep(
-        "conv2d (event-driven vs dense GEMM vs spike-gather im2col routes)",
-        &conv_sweep.points,
-    );
+    print_sweep("conv2d (event-driven vs im2col + dense GEMM routes)", &conv_sweep.points);
     let int8_conv_sweep = sweep_conv_int8(reps, &sizes);
     println!("conv2d int8 (integer dense vs event routes, f32 dense baseline):");
     println!("  sparsity   density   f32 ms   int8 ms   event ms   event gain   vs f32");

@@ -1,6 +1,6 @@
 //! Validates the analytical (mean-based) timing model against the
 //! event-driven cycle simulation, and the float training stack
-//! against the integer (fixed-point) FPGA datapath.
+//! against the int8 integer datapath that `snn serve` deploys.
 //!
 //! ```text
 //! cargo run --release -p snn-bench --bin sim_validation [-- --profile quick]
@@ -12,17 +12,19 @@
 //!    traces through the lock-step pipeline; the analytical model
 //!    prices mean traffic, so its error equals the burstiness the
 //!    barrier has to absorb.
-//! 2. **Datapath fidelity** — run the int8/Q-format inference engine
-//!    and compare predictions with the float reference.
+//! 2. **Datapath fidelity** — quantize the model to 8 bits with
+//!    `snn-quant` (calibrated per-channel weights, Q-format LIF), run
+//!    the integer-only `QuantNetwork` and compare its accuracy with
+//!    the float reference on the same direct-coded split.
 
-use snn_accel::{evaluate_fixed, simulate_trace, FixedNetwork, FixedSpec};
+use snn_accel::simulate_trace;
 use snn_bench::{banner, cli_options};
-use snn_core::{evaluate, trace_spikes, Surrogate};
-use snn_dse::{run_point, write_csv};
+use snn_core::{trace_spikes, Surrogate};
+use snn_dse::{bitwidth_sweep, run_point, write_csv};
 
 fn main() {
     let (profile, out_dir) = cli_options();
-    banner("Model validation — analytic vs cycle sim, float vs fixed point", &profile);
+    banner("Model validation — analytic vs cycle sim, float vs int8", &profile);
     let (train, test) = profile.datasets();
     let started = std::time::Instant::now();
 
@@ -90,22 +92,22 @@ fn main() {
         );
     }
 
-    // --- 2. Float vs fixed-point datapath.
-    println!("\ndatapath validation (int8 weights, Q16.16 membranes, Q15 leak):");
-    let fixed = match FixedNetwork::from_snapshot(&point.snapshot, FixedSpec::default()) {
-        Ok(f) => f,
+    // --- 2. Float vs int8 datapath.
+    println!("\ndatapath validation (snn-quant int8 runtime, direct coding):");
+    let (cal_items, _) = train.take(32).flat_items();
+    let subset = test.take(100);
+    let sweep = match bitwidth_sweep(&point.snapshot, &cal_items, &subset, profile.timesteps, &[8])
+    {
+        Ok(s) => s,
         Err(e) => {
-            eprintln!("fixed-point lowering failed: {e}");
+            eprintln!("int8 quantization failed: {e}");
             std::process::exit(1);
         }
     };
-    let subset = test.take(100.min(test.len()));
-    let fx = evaluate_fixed(&fixed, &mut net, &subset, profile.encoding, profile.timesteps, 0);
-    let float_eval =
-        evaluate(&mut net, &subset, profile.encoding, profile.timesteps, profile.batch_size, 0);
-    println!("  float accuracy : {:.1}%", float_eval.accuracy * 100.0);
-    println!("  fixed accuracy : {:.1}%", fx.accuracy * 100.0);
-    println!("  prediction agreement: {:.1}% over {} samples", fx.agreement * 100.0, fx.samples);
+    let int8 = &sweep.points[0];
+    println!("  float accuracy : {:.1}%", sweep.f32_accuracy * 100.0);
+    println!("  int8 accuracy  : {:.1}% over {} samples", int8.accuracy * 100.0, sweep.samples);
+    println!("  int8 delta     : {:+.1} pts", int8.delta * 100.0);
 
     let csv_path = out_dir.join("sim_validation.csv");
     let rows = vec![
@@ -115,9 +117,9 @@ fn main() {
         ],
         vec!["simulated_latency_cycles".to_string(), sim.total_cycles.to_string()],
         vec!["analytic_error".to_string(), format!("{:.4}", sim.analytic_error())],
-        vec!["float_accuracy".to_string(), format!("{:.4}", float_eval.accuracy)],
-        vec!["fixed_accuracy".to_string(), format!("{:.4}", fx.accuracy)],
-        vec!["fixed_float_agreement".to_string(), format!("{:.4}", fx.agreement)],
+        vec!["float_accuracy".to_string(), format!("{:.4}", sweep.f32_accuracy)],
+        vec!["int8_accuracy".to_string(), format!("{:.4}", int8.accuracy)],
+        vec!["int8_delta".to_string(), format!("{:.4}", int8.delta)],
     ];
     if let Err(e) = write_csv(&csv_path, &["metric", "value"], rows.into_iter()) {
         eprintln!("warning: could not write {}: {e}", csv_path.display());

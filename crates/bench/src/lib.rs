@@ -33,7 +33,12 @@ use snn_dse::ExperimentProfile;
 /// Serve reports moved to their own version track at v6 (see
 /// [`BENCH_SERVE_SCHEMA_VERSION`]); this constant now versions the
 /// kernel reports only.
-pub const BENCH_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the `density_sweep.conv2d` rows drop `spike_gemm_seconds` and
+/// `event_vs_spike_gemm` — the conv forward's im2col spike-gather
+/// branch is gone, so its rows compare only the dense GEMM and event
+/// routes.
+pub const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// Schema version of `BENCH_serve.json`, split from the kernel track
 /// at v6 so the two report families can evolve independently.

@@ -314,15 +314,7 @@ fn cmd_quantize(args: &Args) -> Result<(), String> {
         ));
     }
 
-    let flatten = |ds: &snn_data::Dataset| -> (Vec<Vec<f32>>, Vec<usize>) {
-        (0..ds.len())
-            .map(|i| {
-                let (t, label) = ds.item(i);
-                (t.as_slice().to_vec(), label)
-            })
-            .unzip()
-    };
-    let (cal_items, _) = flatten(&train.take(cal_samples.min(train.len())));
+    let (cal_items, _) = train.take(cal_samples).flat_items();
     let cal = calibrate(&snapshot, &cal_items, timesteps).map_err(|e| e.to_string())?;
     let artifact = quantize_snapshot(&snapshot, &cal, bits).map_err(|e| e.to_string())?;
     println!(
@@ -340,7 +332,7 @@ fn cmd_quantize(args: &Args) -> Result<(), String> {
         profile.batch_size,
         0,
     );
-    let (test_items, test_labels) = flatten(&test);
+    let (test_items, test_labels) = test.flat_items();
     let mut qnet = QuantNetwork::from_snapshot(&artifact).map_err(|e| e.to_string())?;
     let int8_accuracy = qnet
         .evaluate_accuracy(&test_items, &test_labels, timesteps)

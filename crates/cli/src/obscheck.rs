@@ -322,7 +322,7 @@ pub fn check_log(text: &str) -> Result<usize, String> {
 /// with `snn_bench::BENCH_SCHEMA_VERSION` by hand — the CLI stays
 /// below the bench crate in the dependency order, and a version drift
 /// is exactly what this check exists to catch.
-pub const BENCH_KERNELS_SCHEMA: f64 = 5.0;
+pub const BENCH_KERNELS_SCHEMA: f64 = 6.0;
 
 /// Validates a `BENCH_kernels.json` report and (optionally) gates on
 /// the event-driven conv2d speedup and the int8 GEMM speedup.
@@ -807,21 +807,21 @@ mod tests {
 
     #[test]
     fn validates_bench_kernels_report() {
-        let good = bench_report("5", "2.5");
+        let good = bench_report("6", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("2.50x"), "summary was `{summary}`");
         check_bench_kernels(&good, Some(1.5), None).unwrap();
         assert!(check_bench_kernels(&good, Some(3.0), None).is_err(), "below gate");
-        assert!(check_bench_kernels(&bench_report("4", "2.5"), None, None).is_err(), "old schema");
+        assert!(check_bench_kernels(&bench_report("5", "2.5"), None, None).is_err(), "old schema");
         assert!(check_bench_kernels("not json", None, None).is_err());
         assert!(check_bench_kernels("{}", None, None).is_err(), "missing everything");
-        let no_90 = bench_report("5", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
+        let no_90 = bench_report("6", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
         assert!(check_bench_kernels(&no_90, None, None).is_err(), "no 90% point");
     }
 
     #[test]
     fn gates_and_validates_int8_rows() {
-        let good = bench_report_gated("5", "2.5", "1.35");
+        let good = bench_report_gated("6", "2.5", "1.35");
         let summary = check_bench_kernels(&good, None, Some(1.2)).unwrap();
         assert!(summary.contains("1.35x"), "summary was `{summary}`");
         assert!(

@@ -103,6 +103,14 @@ impl Dataset {
         Dataset { items, classes: self.classes }
     }
 
+    /// Flattens every item into a plain `Vec<f32>` (row-major, in
+    /// dataset order) alongside its label — the `(items, labels)`
+    /// shape the quantizer's calibration pass and the integer network
+    /// consume.
+    pub fn flat_items(&self) -> (Vec<Vec<f32>>, Vec<usize>) {
+        self.items.iter().map(|(t, label)| (t.as_slice().to_vec(), *label)).unzip()
+    }
+
     /// Returns a dataset containing only the first `n` items.
     pub fn take(&self, n: usize) -> Dataset {
         Dataset { items: self.items[..n.min(self.len())].to_vec(), classes: self.classes }
@@ -184,6 +192,15 @@ mod tests {
         ];
         let r = std::panic::catch_unwind(|| Dataset::new(items, 3));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn flat_items_preserve_order_and_labels() {
+        let ds = toy(4);
+        let (items, labels) = ds.flat_items();
+        assert_eq!(labels, vec![0, 1, 2, 0]);
+        assert_eq!(items.len(), 4);
+        assert_eq!(items[3], vec![3.0; 4]);
     }
 
     #[test]

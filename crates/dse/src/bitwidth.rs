@@ -57,17 +57,6 @@ impl BitwidthResult {
     }
 }
 
-/// Flattens a dataset into the `(items, labels)` shape the quantized
-/// network consumes.
-fn flatten(test: &Dataset) -> (Vec<Vec<f32>>, Vec<usize>) {
-    (0..test.len())
-        .map(|i| {
-            let (t, label) = test.item(i);
-            (t.as_slice().to_vec(), label)
-        })
-        .unzip()
-}
-
 /// Quantizes `snapshot` at each width in `bits` and scores every
 /// integer network against the f32 reference on `test`.
 ///
@@ -96,7 +85,7 @@ pub fn bitwidth_sweep(
         return Err("bitwidth sweep needs at least one bit width".into());
     }
     let cal = calibrate(snapshot, calibration, timesteps).map_err(|e| e.to_string())?;
-    let (items, labels) = flatten(test);
+    let (items, labels) = test.flat_items();
     let f32_accuracy = evaluate(
         &mut snapshot.clone().into_network(),
         test,
@@ -151,7 +140,7 @@ mod tests {
     fn sweep_scores_every_requested_width() {
         let snap = trained_ish_snapshot();
         let ds = bars_dataset(24, 8, 3);
-        let (cal_items, _) = flatten(&ds.take(8));
+        let (cal_items, _) = ds.take(8).flat_items();
         let result = bitwidth_sweep(&snap, &cal_items, &ds, 3, &[4, 8]).unwrap();
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.samples, 24);
@@ -169,7 +158,7 @@ mod tests {
     fn eight_bit_point_tracks_the_f32_reference() {
         let snap = trained_ish_snapshot();
         let ds = bars_dataset(24, 8, 3);
-        let (cal_items, _) = flatten(&ds.take(8));
+        let (cal_items, _) = ds.take(8).flat_items();
         let result = bitwidth_sweep(&snap, &cal_items, &ds, 3, &[8]).unwrap();
         // An untrained-but-structured net still classifies consistently;
         // at 8 bits the integer network must stay close to f32 on the
@@ -209,7 +198,7 @@ mod tests {
     fn sweep_rejects_bad_inputs() {
         let snap = trained_ish_snapshot();
         let ds = bars_dataset(8, 8, 3);
-        let (cal_items, _) = flatten(&ds);
+        let (cal_items, _) = ds.flat_items();
         assert!(bitwidth_sweep(&snap, &cal_items, &ds, 3, &[]).is_err());
         assert!(bitwidth_sweep(&snap, &cal_items, &ds, 3, &[1]).is_err());
         assert!(bitwidth_sweep(&snap, &cal_items, &ds, 3, &[16]).is_err());

@@ -6,8 +6,7 @@
 //! *measured* input density:
 //!
 //! * **Dense** — im2col then one GEMM per batch item:
-//!   `Y_n = W · im2col(X_n)` (with the spike-gather GEMM when the
-//!   im2col matrix is binary and at most half nonzero).
+//!   `Y_n = W · im2col(X_n)`.
 //! * **Event** — no im2col at all: the input's active positions (a
 //!   compressed [`crate::spike::SpikeTensor`]) each scatter their
 //!   kernel taps into the output, so the work scales with the firing
@@ -22,7 +21,10 @@
 //! (see [`crate::linalg`] on exactness).
 //!
 //! The backward pass uses the transposed products from
-//! [`crate::linalg`] plus `col2im` scatter.
+//! [`crate::linalg`] plus `col2im` scatter; its dW product gathers
+//! over a [`linalg::SpikeIndex`] of the im2col matrix when the cached
+//! forward input is sparse and binary (there is no event route
+//! backward).
 
 use serde::{Deserialize, Serialize};
 
@@ -234,7 +236,7 @@ pub fn col2im(g: &Conv2dGeometry, cols: &[f32], grad_input: &mut [f32]) {
 
 /// Reusable workspace for [`conv2d_forward_with`] and
 /// [`conv2d_backward_with`]: per-worker im2col buffers, column
-/// gradients, and the spike index of the sparse path.
+/// gradients, and the spike index of the backward dW gather.
 ///
 /// A layer that owns one of these allocates its buffers on the first
 /// timestep and reuses them for the rest of the sequence (and for
@@ -274,6 +276,8 @@ impl ConvScratch {
 struct ConvBufs {
     cols: Vec<f32>,
     col_grad: Vec<f32>,
+    /// Backward-only: row index of a binary im2col matrix for the
+    /// dW gather.
     spikes: linalg::SpikeIndex,
     /// Event-route tap list: `(im2col_row, out_position)` pairs for
     /// one item's active pixels, shared across all output channels.
@@ -290,16 +294,16 @@ struct ConvBufs {
     wt_quad: Vec<f32>,
 }
 
-/// Density bound for routing an im2col matrix through the sparse
-/// spike GEMM. The scalar row-gather only beats the dense kernel's
-/// vectorized contiguous sweeps once most of the arithmetic is
-/// skippable: measured on the `bench_kernels` shapes the crossover
-/// sits near 1/8 nonzero (at 1/4 the gather is ~1.7× *slower* than
-/// the dense GEMM). The bound is applied to the *measured* batch
-/// density from the dispatcher scan (not a per-item guess), so path
-/// choice depends only on the data, never on the thread count, and
-/// results stay deterministic (the two paths agree bitwise regardless
-/// — see [`linalg::gemm_spike_into`]).
+/// Density bound for the backward pass's dW product to gather over a
+/// [`linalg::SpikeIndex`] of the im2col matrix instead of running the
+/// dense dot (backward only: the forward pass's sparse inputs take
+/// the event route). The scalar row-gather only beats the dense
+/// kernel's vectorized contiguous sweeps once most of the arithmetic
+/// is skippable; the crossover sits near 1/8 nonzero. The bound is
+/// applied to the *measured* batch density of the cached forward
+/// input (not a per-item guess), so path choice depends only on the
+/// data, never on the thread count, and the two paths agree bitwise
+/// regardless (see [`crate::linalg`] on exactness).
 fn im2col_sparse_wins(scan: &SpikeScan) -> bool {
     scan.binary && 8 * scan.nnz <= scan.len
 }
@@ -439,7 +443,6 @@ pub fn conv2d_forward_routed(
         return Ok((out, ConvRoute::Event));
     }
 
-    let sparse_gemm = im2col_sparse_wins(&scan);
     let min_items = par::min_granules_for(2 * g.dense_macs() as usize);
     par::for_each_block_with(
         ov,
@@ -452,24 +455,7 @@ pub fn conv2d_forward_routed(
             for (i, out_item) in block.chunks_exact_mut(item_out).enumerate() {
                 let item = item0 + i;
                 im2col(g, &iv[item * item_in..(item + 1) * item_in], &mut bufs.cols);
-                // A binary input stays binary through im2col, so the
-                // per-item build below can only fail if the measured
-                // decision was computed on different data (it isn't);
-                // the else-branch is defensive.
-                let sparse = sparse_gemm
-                    && bufs.spikes.build(&bufs.cols, g.col_rows(), g.col_cols(), col_elems);
-                if sparse {
-                    linalg::gemm_spike_into(
-                        wv,
-                        &bufs.spikes,
-                        out_item,
-                        g.out_channels,
-                        g.col_rows(),
-                        g.col_cols(),
-                    );
-                } else {
-                    gemm_into(wv, &bufs.cols, out_item, g.out_channels, g.col_rows(), g.col_cols());
-                }
+                gemm_into(wv, &bufs.cols, out_item, g.out_channels, g.col_rows(), g.col_cols());
                 add_item_bias(&bias_local, out_item, plane_of(g));
             }
         },
@@ -745,9 +731,9 @@ pub fn conv2d_backward_with(
     }
 
     let (iv, wv, gov) = (input.as_slice(), weight.as_slice(), grad_output.as_slice());
-    // Measured sparse-route decision, same as the forward pass: one
-    // scan of the cached forward input (max_nnz = 0: only the
-    // measurement is needed, not the index).
+    // Measured dW-gather decision: one scan of the cached forward
+    // input (max_nnz = 0: only the measurement is needed, not the
+    // index).
     let scan = scratch.input_spikes.build(iv, n, item_in, 0);
     let sparse_gemm = im2col_sparse_wins(&scan);
     // Per-item partials for dW and db: [wlen | out_channels] per

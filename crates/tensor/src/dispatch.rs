@@ -56,8 +56,7 @@ static THRESHOLD_BITS: AtomicU32 = AtomicU32::new(UNSET);
 /// Which implementation a routed convolution forward used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvRoute {
-    /// im2col + GEMM over dense buffers (with the spike-gather GEMM
-    /// when the im2col matrix is binary and sparse enough).
+    /// im2col + one dense GEMM per batch item.
     Dense,
     /// Event-driven scatter over the compressed
     /// [`crate::spike::SpikeTensor`]; no im2col is materialized.

@@ -6,8 +6,9 @@
 //! innermost accesses are contiguous in both `B` and `C`, which lets
 //! LLVM auto-vectorize them. The matrix products split their output
 //! rows across the scoped-thread pool in [`crate::par`], and binary
-//! spike operands take a sparse gather path ([`SpikeIndex`],
-//! [`gemm_spike_into`]).
+//! spike operands of [`matmul_nt`] take a sparse gather path.
+//! [`SpikeIndex`] is the row index the conv backward pass gathers its
+//! dW product over.
 //!
 //! # Exactness
 //!
@@ -245,7 +246,8 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 }
 
 /// Row-compressed index of the nonzero positions of a binary (0/1)
-/// matrix — the sparse operand format for spike GEMMs.
+/// matrix — the sparse operand the conv backward pass gathers its dW
+/// product over (forward sparse convs take the event route instead).
 ///
 /// The buffers are reused across [`SpikeIndex::build`] calls, so a
 /// per-layer index allocates only on the first timestep of a
@@ -299,37 +301,6 @@ impl SpikeIndex {
     /// Total nonzero count.
     pub fn nnz(&self) -> usize {
         self.idx.len()
-    }
-}
-
-/// Sparse GEMM `C += A · S` where `S` is a binary `[k, n]` matrix
-/// given by its [`SpikeIndex`]: `A` is `[m, k]`, `C` is `[m, n]`.
-///
-/// Instead of multiplying whole rows of a mostly-zero `S`, each
-/// nonzero scatters `A[i, p]` into `C` directly (the `× 1.0` is
-/// elided). Each `C` element still receives its terms in
-/// ascending-`p` order and the skipped terms are exact zeros, so the
-/// result is bitwise identical to [`gemm_into`] on the dense operand
-/// (see the module docs on exactness).
-///
-/// # Panics
-///
-/// Debug-asserts the dimensions; panics on out-of-range indices.
-pub fn gemm_spike_into(a: &[f32], s: &SpikeIndex, c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(c.len(), m * n);
-    debug_assert_eq!(s.ptr.len(), k + 1);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &aval) in arow.iter().enumerate() {
-            if aval == 0.0 {
-                continue;
-            }
-            for &j in s.row(p) {
-                crow[j as usize] += aval;
-            }
-        }
     }
 }
 
@@ -500,22 +471,6 @@ mod tests {
         assert_eq!(s.row(1), &[1, 2]);
         assert!(!s.build(&[0.5, 0.0], 1, 2, 2), "non-binary must be rejected");
         assert!(!s.build(&spikes, 2, 3, 2), "density bound must be enforced");
-    }
-
-    #[test]
-    fn spike_gemm_matches_dense_bitwise() {
-        let a: Vec<f32> = vec![0.3, -1.25, 0.0, 2.5, 0.75, -0.5];
-        let spikes = [1., 0., 0., 1., 0., 0., 1., 1., 0., 0., 0., 1.];
-        let (m, k, n) = (2, 3, 4);
-        let mut dense = vec![0.0f32; m * n];
-        gemm_into(&a, &spikes, &mut dense, m, k, n);
-        let mut s = SpikeIndex::new();
-        assert!(s.build(&spikes, k, n, k * n));
-        let mut sparse = vec![0.0f32; m * n];
-        gemm_spike_into(&a, &s, &mut sparse, m, k, n);
-        let dense_bits: Vec<u32> = dense.iter().map(|v| v.to_bits()).collect();
-        let sparse_bits: Vec<u32> = sparse.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(dense_bits, sparse_bits);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   `[items, item_len]` batch, built once per timestep with reusable
 //!   buffers (the same recycling pattern as
 //!   [`crate::linalg::SpikeIndex`], which indexes a single im2col
-//!   matrix rather than a whole batch).
+//!   matrix for the conv backward pass rather than a whole batch).
 //! * [`TouchMask`] — one byte per `(item, spatial position)` marking
 //!   which output positions an event-driven convolution actually
 //!   wrote, so the following LIF step can restrict its synaptic

@@ -1,15 +1,15 @@
 //! Hardware-mapping deep dive: take one trained model and explore
 //! what the accelerator simulator exposes — device choices, dataflow
-//! choices, int8 weight quantization, and how firing rates move the
-//! bottleneck.
+//! choices, the 8-bit integer runtime the server deploys, and how
+//! firing rates move the bottleneck.
 //!
 //! ```text
 //! cargo run --release --example hardware_mapping
 //! ```
 
-use snn_accel::{quantize_snapshot, AcceleratorConfig, FpgaDevice};
+use snn_accel::{AcceleratorConfig, FpgaDevice};
 use snn_core::{evaluate, fit, NetworkSnapshot, SpikingNetwork, Surrogate};
-use snn_dse::ExperimentProfile;
+use snn_dse::{bitwidth_sweep, ExperimentProfile};
 use snn_tensor::derive_seed;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,17 +70,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         aware.fps_per_watt() / dense.fps_per_watt()
     );
 
-    // --- Quantization: what the int8 weight memory assumption costs.
+    // --- Quantization: what the int8 datapath the memory model
+    //     assumes costs, measured on the integer-only runtime.
     println!();
-    let qsnapshot = quantize_snapshot(&snapshot);
-    let mut qnet = qsnapshot.into_network();
-    let qeval =
-        evaluate(&mut qnet, &test, cfg.encoding, profile.timesteps, profile.batch_size, 0);
+    let (cal_items, _) = train.take(32).flat_items();
+    let sweep = bitwidth_sweep(&snapshot, &cal_items, &test, profile.timesteps, &[8])?;
+    let int8 = &sweep.points[0];
     println!(
-        "int8-quantized weights: accuracy {:.1}% (fp32: {:.1}%), Δ {:+.2} pts",
-        qeval.accuracy * 100.0,
-        eval.accuracy * 100.0,
-        (qeval.accuracy - eval.accuracy) * 100.0
+        "int8 datapath: accuracy {:.1}% (fp32: {:.1}%), Δ {:+.2} pts",
+        int8.accuracy * 100.0,
+        sweep.f32_accuracy * 100.0,
+        int8.delta * 100.0
     );
     Ok(())
 }

@@ -19,14 +19,16 @@ cd "$(dirname "$0")/.."
 # release `snn` binary to be current.
 cargo build --workspace --release --offline
 # Root-package integration suites (tier-1), plus the fast member-crate
-# suites for the serving stack and the int8 bit-exactness suites
-# (snn-quant, and snn-tensor's qmat_exactness alone). The remaining
-# member suites (the rest of tensor, data, accel, dse, bench) are much
-# slower — dse's training sweeps alone take ~35 min on one core — and
-# are left to `cargo test --workspace` outside the gate.
+# suites for the serving stack, the accelerator simulator and the
+# bit-exactness suites (snn-quant, and snn-tensor's qmat_exactness and
+# event_exactness alone). The remaining member suites (the rest of
+# tensor, data, dse, bench) are much slower — dse's training sweeps
+# alone take ~35 min on one core — and are left to
+# `cargo test --workspace` outside the gate.
 cargo test -q --offline
-cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-quant
+cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-quant -p snn-accel
 cargo test -q --offline -p snn-tensor --test qmat_exactness
+cargo test -q --offline -p snn-tensor --test event_exactness
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Serve smoke test: boot the model server (the epoll front end with
