@@ -488,9 +488,10 @@ struct Phase {
     stages_us: Vec<StageBreakdown>,
     /// Cumulative per-layer firing rates observed while serving.
     per_layer_rates: Vec<LayerRate>,
-    /// Snapshots of this server instance's `snn_serve_*` histograms
-    /// (request latency, realized batch size, per-layer firing rate)
-    /// — the full distributions behind the summary columns above.
+    /// Snapshots of every histogram in this server's registry (request
+    /// latency, stages, realized batch size, per-layer firing rate,
+    /// per-replica forward and queue time) — the full distributions
+    /// behind the columns above.
     histograms: Vec<snn_obs::HistogramSnapshot>,
 }
 
@@ -582,16 +583,7 @@ fn run_phase(
     let metrics = server.metrics();
     let batches = metrics.batches.get();
     let batched_items = metrics.batched_items.get();
-    let snap = metrics.snapshot(snn_serve::ModelInfo {
-        name: name.into(),
-        version: 1,
-        input_len,
-        classes: 10,
-        params: 0,
-        hash: String::new(),
-        dtype: dtype.into(),
-        quant: None,
-    });
+    let histograms = metrics.registry().histogram_snapshots();
     Phase {
         name: name.into(),
         dtype: dtype.into(),
@@ -606,14 +598,30 @@ fn run_phase(
         throughput_rps: completed as f64 / wall_secs,
         mean_batch_size: if batches > 0 { batched_items as f64 / batches as f64 } else { 0.0 },
         latency_us: percentiles(&mut latencies),
-        stages_us: stage_breakdowns(&snap.histograms),
-        per_layer_rates: snap
-            .layers
-            .iter()
-            .map(|l| LayerRate { layer: l.layer.clone(), rate: l.rate })
-            .collect(),
-        histograms: snap.histograms,
+        stages_us: stage_breakdowns(&histograms),
+        per_layer_rates: layer_rates(metrics.registry()),
+        histograms,
     }
+}
+
+/// Cumulative per-layer firing rates, from the server's
+/// `snn_serve_layer_{spikes,neuron_steps}_total{layer=…}` counters.
+fn layer_rates(registry: &snn_obs::Registry) -> Vec<LayerRate> {
+    let counters = registry.counter_values();
+    // `(layer, value)` of one family, in layer-name order.
+    let family = |prefix: &str| -> Vec<(String, f64)> {
+        let of = |name: &str| Some(name.strip_prefix(prefix)?.strip_suffix("\"}")?.to_string());
+        counters.iter().filter_map(|(name, v)| Some((of(name)?, *v as f64))).collect()
+    };
+    let steps = family("snn_serve_layer_neuron_steps_total{layer=\"");
+    family("snn_serve_layer_spikes_total{layer=\"")
+        .into_iter()
+        .zip(steps)
+        .map(|((layer, spikes), (_, steps))| LayerRate {
+            layer,
+            rate: if steps > 0.0 { spikes / steps } else { 0.0 },
+        })
+        .collect()
 }
 
 fn percentiles(samples: &mut [u64]) -> Percentiles {

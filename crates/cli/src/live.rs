@@ -50,26 +50,34 @@ fn parse_addr(args: &Args) -> Result<SocketAddr, String> {
     addr.parse().map_err(|_| format!("flag --addr: cannot parse `{addr}` as host:port"))
 }
 
-/// One-shot HTTP GET against the server being watched.
-fn http_get(addr: SocketAddr, path: &str) -> Result<String, String> {
+/// One-shot HTTP request (`Connection: close`) with a hard 10s client
+/// timeout, so a wedged server turns into an error instead of a hang.
+/// Returns the status and body.
+pub fn http_once(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(u16, String), String> {
     let mut stream = TcpStream::connect(addr)
         .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5))).map_err(|e| e.to_string())?;
-    let req = format!("GET {path} HTTP/1.1\r\nHost: snn\r\nConnection: close\r\n\r\n");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(|e| e.to_string())?;
+    let req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: snn\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
     stream.write_all(req.as_bytes()).map_err(|e| e.to_string())?;
     let mut response = Vec::new();
-    stream.read_to_end(&mut response).map_err(|e| format!("no reply within 5s: {e}"))?;
+    stream.read_to_end(&mut response).map_err(|e| format!("no reply within 10s: {e}"))?;
     let text = String::from_utf8_lossy(&response).to_string();
-    let (head, body) = text.split_once("\r\n\r\n").ok_or("truncated response")?;
+    let (head, rest) = text.split_once("\r\n\r\n").ok_or("truncated response")?;
     let status: u16 = head
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or("bad status line")?;
-    if status != 200 {
-        return Err(format!("GET {path} answered {status}: {body}"));
-    }
-    Ok(body.to_string())
+    Ok((status, rest.to_string()))
 }
 
 /// `snn tail`: follow the event log or a server's recent traces.
@@ -136,7 +144,10 @@ fn tail_traces(args: &Args) -> Result<(), String> {
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut first_poll = true;
     loop {
-        let body = http_get(addr, "/debug/traces")?;
+        let body = match http_once(addr, "GET", "/debug/traces", "")? {
+            (200, body) => body,
+            (status, body) => return Err(format!("GET /debug/traces answered {status}: {body}")),
+        };
         let parsed = serde_json::parse(&body).map_err(|e| format!("bad /debug/traces JSON: {e:?}"))?;
         let Some(Value::Array(traces)) = get(&parsed, "traces") else {
             return Err(format!("no `traces` array in /debug/traces body: {body}"));
@@ -210,7 +221,10 @@ pub fn cmd_top(args: &Args) -> Result<(), String> {
     let once = args.has("once");
     let interval_ms: u64 = args.get_parsed("interval-ms", 1000)?;
     loop {
-        let body = http_get(addr, "/metrics.json")?;
+        let body = match http_once(addr, "GET", "/metrics.json", "")? {
+            (200, body) => body,
+            (status, body) => return Err(format!("GET /metrics.json answered {status}: {body}")),
+        };
         let parsed =
             serde_json::parse(&body).map_err(|e| format!("bad /metrics.json JSON: {e:?}"))?;
         print!("{}", render_top(&parsed)?);
@@ -225,21 +239,28 @@ pub fn cmd_top(args: &Args) -> Result<(), String> {
 /// Renders one `top` frame from a parsed `/metrics.json` body.
 fn render_top(parsed: &Value) -> Result<String, String> {
     use std::fmt::Write;
-    let summary = get(parsed, "summary").ok_or("no `summary` in /metrics.json")?;
+    let model = get(parsed, "model").ok_or("no `model` in /metrics.json")?;
     let Some(Value::Array(instruments)) = get(parsed, "instruments") else {
         return Err("no `instruments` array in /metrics.json".into());
     };
+    let value = |name: &str| {
+        instruments
+            .iter()
+            .find(|i| get_str(i, "name") == Some(name))
+            .and_then(|i| get_num(i, "value"))
+            .unwrap_or(0.0)
+    };
+    let batches = value("snn_serve_batches_total");
     let mut out = String::new();
-    let model = get(summary, "model");
     let _ = writeln!(
         out,
         "model {} v{}  received {}  completed {}  queue depth {}  mean batch {:.2}",
-        model.and_then(|m| get_str(m, "name").map(str::to_string)).unwrap_or_else(|| "?".into()),
-        model.and_then(|m| get_num(m, "version")).unwrap_or(0.0),
-        get_num(summary, "received").unwrap_or(0.0),
-        get_num(summary, "completed").unwrap_or(0.0),
-        get_num(summary, "queue_depth").unwrap_or(0.0),
-        get_num(summary, "mean_batch_size").unwrap_or(0.0),
+        get_str(model, "name").unwrap_or("?"),
+        get_num(model, "version").unwrap_or(0.0),
+        value("snn_serve_requests_received_total"),
+        value("snn_serve_requests_completed_total"),
+        value("snn_serve_queue_depth"),
+        if batches > 0.0 { value("snn_serve_batched_items_total") / batches } else { 0.0 },
     );
     let _ = writeln!(out, "{:<12} {:>9} {:>9} {:>9} {:>9} {:>8}", "stage", "p50", "p95", "p99", "max", "count");
     for stage in STAGES {
@@ -310,24 +331,35 @@ mod tests {
                      "count":1,"sum":0.0005,"max":0.0005,"p50":0.0005,"p95":0.0005,"p99":0.0005}}"#
             )
         };
+        let counter = |name: &str, value: u64| {
+            format!(r#"{{"name":"{name}","kind":"counter","help":"c","value":{value}}}"#)
+        };
         let instruments: Vec<String> = STAGES
             .iter()
             .map(|s| mk(&format!("snn_serve_stage_{s}_seconds")))
             .chain([mk("snn_serve_request_latency_seconds")])
+            .chain([
+                counter("snn_serve_requests_received_total", 3),
+                counter("snn_serve_requests_completed_total", 3),
+                counter("snn_serve_batches_total", 2),
+                counter("snn_serve_batched_items_total", 3),
+            ])
             .collect();
         let body = format!(
-            r#"{{"summary":{{"model":{{"name":"demo","version":1}},"received":3,"completed":3,
-                 "queue_depth":0,"mean_batch_size":1.5}},"instruments":[{}]}}"#,
+            r#"{{"model":{{"name":"demo","version":1}},"instruments":[{}]}}"#,
             instruments.join(",")
         );
         let parsed = serde_json::parse(&body).unwrap();
         let frame = render_top(&parsed).unwrap();
-        for needle in ["stage", "parse", "queue_wait", "batch_form", "forward", "respond", "end-to-end", "model demo v1"] {
+        for needle in [
+            "stage", "parse", "queue_wait", "batch_form", "forward", "respond", "end-to-end",
+            "model demo v1", "received 3", "completed 3", "mean batch 1.50",
+        ] {
             assert!(frame.contains(needle), "missing {needle} in:\n{frame}");
         }
 
         // A dump with a stage histogram missing names the gap.
-        let body = r#"{"summary":{"received":0},"instruments":[]}"#;
+        let body = r#"{"model":{"name":"demo"},"instruments":[]}"#;
         let err = render_top(&serde_json::parse(body).unwrap()).unwrap_err();
         assert!(err.contains("snn_serve_stage_parse_seconds"), "{err}");
     }

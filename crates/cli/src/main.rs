@@ -876,7 +876,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let body = format!("{{\"input\":[{}]}}", values.join(","));
     let (mut served, mut shed) = (0u32, 0u32);
     for i in 0..12 {
-        let (status, reply) = http_once(addr, "POST", "/infer", &body)
+        let (status, reply) = live::http_once(addr, "POST", "/infer", &body)
             .map_err(|e| format!("request {i} hung or broke transport: {e}"))?;
         match status {
             200 => served += 1,
@@ -899,7 +899,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     }
 
     // Stage 3: the instance must have healed.
-    let (hstatus, health) = http_once(addr, "GET", "/healthz", "")?;
+    let (hstatus, health) = live::http_once(addr, "GET", "/healthz", "")?;
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
     if hstatus != 200 || !health.contains("\"status\":\"ok\"") {
@@ -911,38 +911,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         snn_fault::recovery_total()
     );
     Ok(())
-}
-
-/// One-shot HTTP request with a hard 10s client timeout, so a wedged
-/// server turns into an error instead of a hung drill.
-fn http_once(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> Result<(u16, String), String> {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .map_err(|e| e.to_string())?;
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: chaos\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).map_err(|e| e.to_string())?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("no reply within 10s: {e}"))?;
-    let text = String::from_utf8_lossy(&response).to_string();
-    let (head, rest) = text.split_once("\r\n\r\n").ok_or("truncated response")?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or("bad status line")?;
-    Ok((status, rest.to_string()))
 }
 
 /// An untrained paper-shaped toy model so the server can be exercised

@@ -105,7 +105,7 @@ pub fn check_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `/metrics.json` body: parseable JSON with a `summary`
+/// Validates a `/metrics.json` body: parseable JSON with a `model`
 /// object and an `instruments` array whose entries carry `name` and
 /// `kind`.
 ///
@@ -118,10 +118,10 @@ pub fn check_metrics_json(text: &str) -> Result<(), String> {
         return Err("top level is not an object".into());
     };
     let get = |k: &str| fields.iter().find(|(name, _)| name == k).map(|(_, v)| v);
-    match get("summary") {
+    match get("model") {
         Some(serde::Value::Object(_)) => {}
-        Some(_) => return Err("`summary` is not an object".into()),
-        None => return Err("missing `summary` field".into()),
+        Some(_) => return Err("`model` is not an object".into()),
+        None => return Err("missing `model` field".into()),
     }
     let Some(serde::Value::Array(instruments)) = get("instruments") else {
         return Err("missing or non-array `instruments` field".into());
@@ -768,12 +768,15 @@ mod tests {
 
     #[test]
     fn validates_metrics_json() {
-        let good = "{\"summary\":{\"completed\":1},\
+        let good = "{\"model\":{\"name\":\"demo\"},\
                     \"instruments\":[{\"name\":\"x\",\"kind\":\"counter\",\"value\":1}]}";
         check_metrics_json(good).unwrap();
         assert!(check_metrics_json("[]").is_err());
-        assert!(check_metrics_json("{\"summary\":{}}").is_err());
-        assert!(check_metrics_json("{\"summary\":{},\"instruments\":[]}").is_err());
+        assert!(check_metrics_json("{\"model\":{}}").is_err());
+        assert!(check_metrics_json("{\"model\":{},\"instruments\":[]}").is_err());
+        // The pre-`model` layout is no longer accepted.
+        let old = good.replace("\"model\":{\"name\":\"demo\"}", "\"summary\":{}");
+        assert!(check_metrics_json(&old).is_err());
         assert!(check_metrics_json("not json").is_err());
     }
 
@@ -897,7 +900,7 @@ mod tests {
         // A HELP/TYPE mention alone must not satisfy the gate.
         assert!(require_family_text("# TYPE snn_serve_admit_limit gauge\n", "snn_serve_admit")
             .is_err());
-        let json = "{\"summary\":{},\"instruments\":[\
+        let json = "{\"model\":{},\"instruments\":[\
                     {\"name\":\"snn_serve_admit_limit\",\"kind\":\"gauge\",\"value\":64},\
                     {\"name\":\"snn_pool_quarantine_total\",\"kind\":\"counter\",\"value\":1}]}";
         require_family_json(json, "snn_serve_admit").unwrap();

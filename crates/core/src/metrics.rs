@@ -67,7 +67,7 @@ impl SparsityProfile {
         let hist = r.histogram(
             "snn_core_layer_firing_rate_ratio",
             "per-layer mean firing rate over the most recent evaluation",
-            firing_rate_bounds(),
+            snn_obs::firing_rate_bounds(),
         );
         for l in &self.layers {
             if l.neuron_steps > 0.0 {
@@ -85,13 +85,6 @@ impl SparsityProfile {
         )
         .set(self.input_density);
     }
-}
-
-/// Bucket bounds for firing-rate histograms: 20 linear buckets of
-/// width 0.05 covering `[0, 1]`.
-pub fn firing_rate_bounds() -> &'static [f64] {
-    static BOUNDS: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
-    BOUNDS.get_or_init(|| (1..=20).map(|i| i as f64 * 0.05).collect())
 }
 
 /// Result of evaluating a network on a dataset.

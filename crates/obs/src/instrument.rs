@@ -8,6 +8,7 @@
 //! usual contract for telemetry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use serde::Serialize;
 
@@ -85,6 +86,21 @@ impl Gauge {
     }
 }
 
+/// The one bucket ladder for every `*_seconds` histogram — spans,
+/// serve stages, request latency, per-replica timings: 26 powers of
+/// two from 1µs (to ~33s).
+pub fn span_bounds() -> &'static [f64] {
+    static BOUNDS: OnceLock<Vec<f64>> = OnceLock::new();
+    BOUNDS.get_or_init(|| (0..26).map(|k| 1e-6 * f64::from(1u32 << k)).collect())
+}
+
+/// The one bucket ladder for every firing-rate (`*_ratio`) histogram:
+/// 20 linear buckets of width 0.05 covering `[0, 1]`.
+pub fn firing_rate_bounds() -> &'static [f64] {
+    static BOUNDS: OnceLock<Vec<f64>> = OnceLock::new();
+    BOUNDS.get_or_init(|| (1..=20).map(|i| i as f64 * 0.05).collect())
+}
+
 /// A fixed-bucket latency/size/ratio histogram with derivable
 /// quantiles.
 ///
@@ -134,36 +150,6 @@ impl Histogram {
         }
     }
 
-    /// `count` exponential bounds: `start, start*factor,
-    /// start*factor^2, …`. The workspace default for wall-time spans
-    /// is `exponential(1e-6, 2.0, 26)` — 1µs to ~33s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start <= 0`, `factor <= 1`, or `count == 0`.
-    pub fn exponential(start: f64, factor: f64, count: usize) -> Self {
-        assert!(start > 0.0 && factor > 1.0 && count > 0, "bad exponential bucket spec");
-        let mut bounds = Vec::with_capacity(count);
-        let mut b = start;
-        for _ in 0..count {
-            bounds.push(b);
-            b *= factor;
-        }
-        Histogram::new(&bounds)
-    }
-
-    /// `count` linear bounds: `step, 2*step, …, count*step`. Useful
-    /// for bounded ratios (`linear(0.05, 20)` covers `[0, 1]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step <= 0` or `count == 0`.
-    pub fn linear(step: f64, count: usize) -> Self {
-        assert!(step > 0.0 && count > 0, "bad linear bucket spec");
-        let bounds: Vec<f64> = (1..=count).map(|i| step * i as f64).collect();
-        Histogram::new(&bounds)
-    }
-
     /// Records one sample.
     pub fn record(&self, v: f64) {
         if !v.is_finite() {
@@ -202,11 +188,6 @@ impl Histogram {
     /// Largest sample recorded (`0.0` when empty).
     pub fn max(&self) -> f64 {
         f64::from_bits(self.max_bits.load(Ordering::Relaxed))
-    }
-
-    /// The finite bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     /// Estimated `q`-quantile (`0 < q <= 1`) by linear interpolation
@@ -362,7 +343,8 @@ mod tests {
         fn quantile_never_exceeds_max(
             len in 0usize..64, seed in 0u64..u64::MAX, top in 0.5f64..1e4, q in 0.0f64..=1.0,
         ) {
-            let h = Histogram::exponential(1.0, 2.0, 12);
+            let bounds: Vec<f64> = (0..12).map(|k| f64::from(1u32 << k)).collect();
+            let h = Histogram::new(&bounds);
             let mut rng = proptest::TestRng::from_label(&seed.to_string());
             let samples: Vec<f64> =
                 (0..len).map(|_| rng.unit_f64() * (top + 10.0) - 10.0).collect();
@@ -417,11 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn exponential_and_linear_constructors() {
-        let e = Histogram::exponential(1e-3, 2.0, 4);
-        assert_eq!(e.bounds(), &[1e-3, 2e-3, 4e-3, 8e-3]);
-        let l = Histogram::linear(0.25, 4);
-        assert_eq!(l.bounds(), &[0.25, 0.5, 0.75, 1.0]);
+    fn shared_ladders_cover_their_ranges() {
+        let secs = span_bounds();
+        assert_eq!((secs.len(), secs[0]), (26, 1e-6));
+        assert!(secs.windows(2).all(|w| w[1] == 2.0 * w[0]), "factor-2 ladder");
+        let rates = firing_rate_bounds();
+        assert_eq!((rates.len(), rates[0], rates[19]), (20, 0.05, 1.0));
     }
 
     #[test]

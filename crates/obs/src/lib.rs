@@ -9,7 +9,7 @@
 //! * **Registries** ([`Registry`], [`global`]) — name → instrument
 //!   maps with Prometheus text exposition
 //!   ([`Registry::render_prometheus`]) and structured JSON snapshots
-//!   ([`Registry::snapshot_value`]). The map lock is touched only at
+//!   ([`Registry::snapshot_values`]). The map lock is touched only at
 //!   registration/exposition; recording is on the shared handles.
 //! * **Spans** ([`span!`], [`SpanGuard`]) — RAII wall-time guards.
 //!   Every span records into a `snn_span_<name>_seconds` histogram in
@@ -63,13 +63,13 @@ mod span;
 mod trace;
 pub mod tracectx;
 
-pub use instrument::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use instrument::{firing_rate_bounds, span_bounds, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{global, Instrument, Registry};
 pub use ring::{StageTiming, TailPolicy, TraceRecord, TraceRing};
 pub use slo::{BurnRates, SloConfig, SloTracker};
 pub use span::{
-    enable_profiling, profile_rows, profiling_enabled, render_profile, span_bounds,
-    span_histogram, NodeStats, SpanGuard,
+    enable_profiling, profile_rows, profiling_enabled, render_profile, span_histogram, NodeStats,
+    SpanGuard,
 };
 pub use trace::trace_enabled;
 pub use tracectx::TraceContext;

@@ -143,6 +143,19 @@ impl Registry {
             .collect()
     }
 
+    /// Every counter's current value, in name order (labeled series
+    /// under their full `family{label="…"}` name).
+    pub fn counter_values(&self) -> Vec<(String, u64)> {
+        let entries = self.entries.lock().expect("registry lock poisoned");
+        entries
+            .iter()
+            .filter_map(|(name, e)| match &e.instrument {
+                Instrument::Counter(c) => Some((name.clone(), c.get())),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Renders every instrument in Prometheus text exposition format:
     /// `# HELP`/`# TYPE` per family, `_bucket{le="…"}`/`_sum`/`_count`
     /// series for histograms, and a trailing newline.
@@ -164,11 +177,11 @@ impl Registry {
         out
     }
 
-    /// Structured JSON snapshot of every instrument, as a
-    /// [`serde::Value`] array in name order.
-    pub fn snapshot_value(&self) -> Value {
+    /// Structured JSON snapshot of every instrument, one
+    /// [`serde::Value`] object each, in name order.
+    pub fn snapshot_values(&self) -> Vec<Value> {
         let entries = self.entries.lock().expect("registry lock poisoned");
-        let items = entries
+        entries
             .iter()
             .map(|(name, e)| {
                 let mut fields = vec![
@@ -194,8 +207,7 @@ impl Registry {
                 }
                 Value::Object(fields)
             })
-            .collect();
-        Value::Array(items)
+            .collect()
     }
 }
 
@@ -376,8 +388,7 @@ mod tests {
         let r = Registry::new();
         let h = r.histogram("snn_test_h_seconds", "h", &[1.0, 2.0]);
         h.record(0.5);
-        let v = r.snapshot_value();
-        let items = v.as_array().expect("array");
+        let items = r.snapshot_values();
         assert_eq!(items.len(), 1);
         let fields = items[0].as_object().expect("object");
         let get = |k: &str| {

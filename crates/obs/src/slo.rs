@@ -192,11 +192,6 @@ impl SloTracker {
         }
     }
 
-    /// The configured objectives.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
     /// Records one finished request. `ok` is "counts against
     /// availability?" (server-caused failures: shed, deadline, panic,
     /// circuit open); `latency` is end-to-end wall time and counts

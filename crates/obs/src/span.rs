@@ -165,9 +165,9 @@ impl Drop for SpanGuard {
 }
 
 /// Registers (once) and returns the global histogram backing the span
-/// named `name`: `snn_span_<name>_seconds`, exponential buckets from
-/// 1µs to ~33s. The [`crate::span!`] macro caches the returned handle
-/// in a per-call-site static.
+/// named `name`: `snn_span_<name>_seconds`, on the shared
+/// [`crate::span_bounds`] ladder. The [`crate::span!`] macro caches
+/// the returned handle in a per-call-site static.
 pub fn span_histogram(name: &str) -> Arc<Histogram> {
     let hist_name = format!("snn_span_{name}_seconds");
     match global().get(&hist_name) {
@@ -178,20 +178,6 @@ pub fn span_histogram(name: &str) -> Arc<Histogram> {
             crate::span_bounds(),
         ),
     }
-}
-
-/// The default span bucket bounds (seconds): powers of two from 1µs.
-pub fn span_bounds() -> &'static [f64] {
-    static BOUNDS: OnceLock<Vec<f64>> = OnceLock::new();
-    BOUNDS.get_or_init(|| {
-        let mut b = Vec::with_capacity(26);
-        let mut v = 1e-6;
-        for _ in 0..26 {
-            b.push(v);
-            v *= 2.0;
-        }
-        b
-    })
 }
 
 /// Opens a wall-time span for the enclosing scope; bind the result

@@ -39,10 +39,12 @@
 //! stop accepting, finish in-flight requests within the drain
 //! deadline, exit 0.
 //!
-//! Observability: per-replica queue depth, breaker state, routed
-//! counts, stage histograms, and SLO burn appear as
-//! `snn_pool_*{replica="i"}` labeled series in both `/metrics`
-//! expositions, alongside the shared serve-side instruments.
+//! Observability: each server keeps one instrument registry (the
+//! shared [`snn_serve::Metrics::registry`]). The pool registers its
+//! per-replica queue depth, breaker state, routed counts and stage
+//! histograms there as `snn_pool_*{replica="i"}` labeled series, next
+//! to its router, quarantine and connection series and the serve-side
+//! instruments, so `/metrics` and `/metrics.json` render one set.
 
 #![warn(missing_docs)]
 
@@ -56,6 +58,6 @@ pub use loadgen::{
     capacity_sweep, CapacityPoint, CapacityReport, LatencySummary, LoadgenConfig, LoadgenReport,
     ReplicaUtilization, RouterCounts, SloSpec,
 };
-pub use pool::{PoolConfig, ReplicaPool};
+pub use pool::ReplicaPool;
 pub use router::{choose, Decision};
 pub use server::{PoolServer, PoolServerConfig};

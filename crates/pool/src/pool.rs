@@ -33,48 +33,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use snn_obs::{Counter, Gauge, Registry, SloConfig, SloTracker, TraceContext};
+use snn_obs::{Counter, Gauge, TraceContext};
 use snn_serve::{
     Batcher, BatcherConfig, CircuitState, InferReply, Metrics, ModelRegistry, Rejection, Ticket,
 };
 
-/// Pool construction knobs.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Number of engine replicas (≥ 1).
-    pub replicas: usize,
-    /// Per-replica batching queue configuration.
-    pub batcher: BatcherConfig,
-    /// SLO objectives tracked per replica (in addition to the shared
-    /// front-end tracker inside [`Metrics`]).
-    pub slo: Option<SloConfig>,
-    /// Breaker trips (closed→open transitions) before the supervisor
-    /// quarantines a replica for rebuild-and-probe.
-    pub quarantine_trips: u32,
-}
+use crate::server::PoolServerConfig;
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            replicas: 2,
-            batcher: BatcherConfig::default(),
-            slo: SloConfig::from_env(),
-            quarantine_trips: 3,
-        }
-    }
-}
-
-/// Per-replica labeled instruments, registered in the pool's own
-/// [`Registry`] and merged into both `/metrics` expositions via
-/// [`Metrics::render_prometheus_with`].
+/// Per-replica labeled instruments (`replica="<i>"`), registered in
+/// the server's one registry ([`Metrics::registry`]).
 struct ReplicaInstruments {
     queue_depth: Arc<Gauge>,
     circuit_state: Arc<Gauge>,
     routed: Arc<Counter>,
     infer_seconds: Arc<snn_obs::Histogram>,
     queue_seconds: Arc<snn_obs::Histogram>,
-    slo_burn_5m: Arc<Gauge>,
-    slo_burn_1h: Arc<Gauge>,
     quarantine_state: Arc<Gauge>,
 }
 
@@ -116,7 +89,6 @@ struct Replica {
     /// Routing eligibility, readable lock-free on the request path.
     quarantined: AtomicBool,
     instruments: ReplicaInstruments,
-    slo: Option<SloTracker>,
     health: Mutex<ReplicaHealth>,
 }
 
@@ -134,12 +106,11 @@ impl Replica {
     }
 }
 
-/// The replica set, router state, and per-replica metric registry.
+/// The replica set, router state, and supervisor.
 pub struct ReplicaPool {
     replicas: Vec<Replica>,
     registry: Arc<ModelRegistry>,
     metrics: Arc<Metrics>,
-    labeled: Registry,
     /// Per-replica batcher configuration, kept for supervisor
     /// rebuilds.
     batcher_cfg: BatcherConfig,
@@ -155,19 +126,13 @@ pub struct ReplicaPool {
     rng: AtomicU64,
 }
 
-/// Latency bounds matched to the serve-side stage histograms: 100µs to
-/// ~1.6s, doubling.
-const STAGE_BOUNDS: [f64; 15] = [
-    1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3, 3.2e-3, 6.4e-3, 1.28e-2, 2.56e-2, 5.12e-2, 1.024e-1,
-    2.048e-1, 4.096e-1, 8.192e-1, 1.6384,
-];
-
 impl ReplicaPool {
     /// Starts `cfg.replicas` batch workers against the shared
     /// registry. All replicas report into the one shared `metrics`
     /// (additive counters aggregate correctly; the non-additive
     /// gauges are re-derived at scrape time by
-    /// [`ReplicaPool::refresh_gauges`]).
+    /// [`ReplicaPool::refresh_gauges`]), and the pool registers its
+    /// own series in that same [`Metrics::registry`].
     ///
     /// # Errors
     ///
@@ -175,12 +140,13 @@ impl ReplicaPool {
     /// built from the registry's current snapshot.
     pub fn start(
         registry: Arc<ModelRegistry>,
-        cfg: PoolConfig,
+        cfg: &PoolServerConfig,
         metrics: Arc<Metrics>,
     ) -> Result<ReplicaPool, snn_core::SnapshotError> {
         let n = cfg.replicas.max(1);
-        let labeled = Registry::new();
-        let batcher_cfg = cfg.batcher;
+        let reg = metrics.registry();
+        let seconds = snn_obs::span_bounds();
+        let batcher_cfg = cfg.batcher.clone();
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
             let batcher = Arc::new(Batcher::start(
@@ -189,37 +155,30 @@ impl ReplicaPool {
                 Arc::clone(&metrics),
             )?);
             let instruments = ReplicaInstruments {
-                queue_depth: labeled.gauge(
+                queue_depth: reg.gauge(
                     &format!("snn_pool_replica_queue_depth{{replica=\"{i}\"}}"),
                     "Queued requests per engine replica (sampled at scrape)",
                 ),
-                circuit_state: labeled.gauge(
+                circuit_state: reg.gauge(
                     &format!("snn_pool_replica_circuit_state{{replica=\"{i}\"}}"),
                     "Per-replica breaker state (0=closed,1=half-open,2=open)",
                 ),
-                routed: labeled.counter(
+                routed: reg.counter(
                     &format!("snn_pool_replica_routed_total{{replica=\"{i}\"}}"),
                     "Requests the router sent to this replica",
                 ),
-                infer_seconds: labeled.histogram(
+                infer_seconds: reg.histogram(
                     &format!("snn_pool_replica_infer_seconds{{replica=\"{i}\"}}"),
-                    "Per-replica engine forward time per served request",
-                    &STAGE_BOUNDS,
+                    "Per-replica engine forward time per served request: the batch's \
+                     forward time divided by its realized batch size",
+                    seconds,
                 ),
-                queue_seconds: labeled.histogram(
+                queue_seconds: reg.histogram(
                     &format!("snn_pool_replica_queue_seconds{{replica=\"{i}\"}}"),
                     "Per-replica queue wait per served request",
-                    &STAGE_BOUNDS,
+                    seconds,
                 ),
-                slo_burn_5m: labeled.gauge(
-                    &format!("snn_pool_replica_slo_burn_5m{{replica=\"{i}\"}}"),
-                    "Per-replica worst 5m SLO burn rate (sampled at scrape)",
-                ),
-                slo_burn_1h: labeled.gauge(
-                    &format!("snn_pool_replica_slo_burn_1h{{replica=\"{i}\"}}"),
-                    "Per-replica worst 1h SLO burn rate (sampled at scrape)",
-                ),
-                quarantine_state: labeled.gauge(
+                quarantine_state: reg.gauge(
                     &format!("snn_pool_quarantine_state{{replica=\"{i}\"}}"),
                     "Supervisor state per replica (0=serving,1=quarantined,2=probing)",
                 ),
@@ -228,27 +187,26 @@ impl ReplicaPool {
                 batcher: RwLock::new(batcher),
                 quarantined: AtomicBool::new(false),
                 instruments,
-                slo: cfg.slo.map(SloTracker::new),
                 health: Mutex::new(ReplicaHealth::new()),
             });
         }
-        let quarantine_total = labeled.counter(
+        let quarantine_total = reg.counter(
             "snn_pool_quarantine_total",
             "Replicas quarantined by the self-healing supervisor",
         );
-        let quarantine_readmitted = labeled.counter(
+        let quarantine_readmitted = reg.counter(
             "snn_pool_quarantine_readmitted_total",
             "Quarantined replicas probed healthy and readmitted to routing",
         );
-        let router_p2c = labeled.counter(
+        let router_p2c = reg.counter(
             "snn_pool_router_p2c_total",
             "Routing decisions made by two-choice depth comparison",
         );
-        let router_fallback = labeled.counter(
+        let router_fallback = reg.counter(
             "snn_pool_router_fallback_total",
             "Routing decisions that fell back to round-robin (both samples unavailable)",
         );
-        let router_rerouted = labeled.counter(
+        let router_rerouted = reg.counter(
             "snn_pool_router_rerouted_total",
             "Requests re-routed to another replica after a CircuitOpen rejection",
         );
@@ -256,7 +214,6 @@ impl ReplicaPool {
             replicas,
             registry,
             metrics,
-            labeled,
             batcher_cfg,
             quarantine_trips: cfg.quarantine_trips.max(1),
             quarantine_total,
@@ -283,17 +240,6 @@ impl ReplicaPool {
     /// The shared model registry.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.registry
-    }
-
-    /// The shared front-end metrics.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
-    }
-
-    /// The pool's per-replica labeled instrument registry, for merging
-    /// into `/metrics` expositions.
-    pub fn labeled_registry(&self) -> &Registry {
-        &self.labeled
     }
 
     /// Flattened input length the served model requires (identical
@@ -403,56 +349,45 @@ impl ReplicaPool {
         }
     }
 
-    /// Records a served reply's per-replica stage timings.
+    /// Records a served reply's per-replica stage timings. Every rider
+    /// of a batch reports the batch's forward time, so each records its
+    /// share of it: the sum over a batch's riders is one forward pass,
+    /// and `Δ infer_seconds_sum / wall` is the engine's busy fraction.
     pub fn record_reply(&self, replica: usize, reply: &InferReply) {
         let r = &self.replicas[replica];
-        r.instruments.infer_seconds.record(reply.infer_us as f64 * 1e-6);
+        let riders = reply.batch_size.max(1) as f64;
+        r.instruments.infer_seconds.record(reply.infer_us as f64 * 1e-6 / riders);
         r.instruments.queue_seconds.record(reply.queue_us as f64 * 1e-6);
     }
 
-    /// Feeds a request outcome into the replica's own SLO tracker
-    /// (mirrors the shared tracker's exclusion of client errors).
-    pub fn slo_record(&self, replica: usize, ok: bool, latency_us: u64) {
-        if let Some(slo) = &self.replicas[replica].slo {
-            slo.record(ok, std::time::Duration::from_micros(latency_us));
-        }
-    }
-
-    /// Re-derives every scrape-time gauge: per-replica queue depth,
-    /// breaker state, and SLO burn, plus the shared front gauges
-    /// (total depth, worst breaker) that individual replicas clobber
-    /// racily during normal operation.
+    /// Re-derives every scrape-time gauge: per-replica queue depth and
+    /// breaker state, plus the shared front gauges that individual
+    /// replicas would clobber racily — total depth, worst breaker, and
+    /// the admission limit summed over replicas.
     pub fn refresh_gauges(&self) {
         let mut total_depth = 0usize;
+        let mut admit_limit = 0.0;
         let mut worst = CircuitState::Closed;
         for r in &self.replicas {
             let batcher = r.batcher();
             let depth = batcher.queue_len();
             let state = batcher.circuit_state();
             total_depth += depth;
+            admit_limit += batcher.admission_limit();
             if state.as_gauge() > worst.as_gauge() {
                 worst = state;
             }
             r.instruments.queue_depth.set(depth as f64);
             r.instruments.circuit_state.set(state.as_gauge());
-            if let Some(slo) = &r.slo {
-                let burn = slo.burn_rates();
-                r.instruments.slo_burn_5m.set(burn.latency_5m.max(burn.availability_5m));
-                r.instruments.slo_burn_1h.set(burn.latency_1h.max(burn.availability_1h));
-            }
         }
         self.metrics.queue_depth.set(total_depth as f64);
+        self.metrics.admit_limit.set(admit_limit);
         self.metrics.circuit_state.set(worst.as_gauge());
     }
 
     /// Per-replica routed-request counts, in replica order.
     pub fn routed_counts(&self) -> Vec<u64> {
         self.replicas.iter().map(|r| r.instruments.routed.get()).collect()
-    }
-
-    /// Router decision counters `(p2c, fallback, rerouted)`.
-    pub fn router_counts(&self) -> (u64, u64, u64) {
-        (self.router_p2c.get(), self.router_fallback.get(), self.router_rerouted.get())
     }
 
     /// Requests shutdown on every replica (new submissions rejected,
@@ -470,7 +405,7 @@ impl ReplicaPool {
     /// State machine per replica:
     ///
     /// * **serving** — count closed→open breaker transitions; at
-    ///   [`PoolConfig::quarantine_trips`] the replica is quarantined
+    ///   [`PoolServerConfig::quarantine_trips`] the replica is quarantined
     ///   (pulled from routing, batcher rebuilt from the registry),
     ///   unless it is the last one still serving.
     /// * **quarantined** — launch a synthetic probe inference through
@@ -625,7 +560,7 @@ mod tests {
     fn pool_with_quarantine(quarantine_trips: u32) -> ReplicaPool {
         let registry = Arc::new(ModelRegistry::new(snapshot(3), "demo").unwrap());
         let metrics = Arc::new(Metrics::with_slo(None));
-        let cfg = PoolConfig {
+        let cfg = PoolServerConfig {
             replicas: 2,
             batcher: BatcherConfig {
                 max_batch: 1,
@@ -635,10 +570,10 @@ mod tests {
                 breaker_cooldown: Duration::from_millis(20),
                 ..BatcherConfig::default()
             },
-            slo: None,
             quarantine_trips,
+            ..PoolServerConfig::default()
         };
-        ReplicaPool::start(registry, cfg, metrics).unwrap()
+        ReplicaPool::start(registry, &cfg, metrics).unwrap()
     }
 
     /// The full self-healing arc: a replica whose worker panics trips

@@ -71,7 +71,7 @@ use snn_serve::{
 };
 
 use crate::epoll::{Epoll, Event, Interest};
-use crate::pool::{PoolConfig, ReplicaPool};
+use crate::pool::ReplicaPool;
 
 const LISTENER_TOKEN: u64 = 0;
 /// Tick granularity while requests are in flight (ticket polling).
@@ -101,9 +101,9 @@ pub struct PoolServerConfig {
     /// honors `SNN_TRACE_RING` / `SNN_TRACE_SLOW_MS` /
     /// `SNN_TRACE_SAMPLE`.
     pub trace_ring: Option<Arc<TraceRing>>,
-    /// SLO objectives for burn-rate tracking (shared front tracker
-    /// plus one tracker per replica); `None` disables it. The default
-    /// honors `SNN_SLO` (e.g. `p99=25ms,avail=99.9`).
+    /// SLO objectives for burn-rate tracking, one tracker for the
+    /// whole server; `None` disables it. The default honors `SNN_SLO`
+    /// (e.g. `p99=25ms,avail=99.9`).
     pub slo: Option<SloConfig>,
     /// Breaker trips before the supervisor quarantines a replica.
     pub quarantine_trips: u32,
@@ -155,14 +155,8 @@ impl PoolServer {
     /// cannot be built.
     pub fn start(registry: Arc<ModelRegistry>, cfg: PoolServerConfig) -> Result<Self, ServeError> {
         let metrics = Arc::new(Metrics::with_slo(cfg.slo));
-        let pool_cfg = PoolConfig {
-            replicas: cfg.replicas,
-            batcher: cfg.batcher,
-            slo: cfg.slo,
-            quarantine_trips: cfg.quarantine_trips,
-        };
         let pool = Arc::new(
-            ReplicaPool::start(Arc::clone(&registry), pool_cfg, Arc::clone(&metrics))
+            ReplicaPool::start(Arc::clone(&registry), &cfg, Arc::clone(&metrics))
                 .map_err(ServeError::Snapshot)?,
         );
         let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Io)?;
@@ -175,7 +169,7 @@ impl PoolServer {
         if cfg.handle_sigterm {
             crate::epoll::install_term_handler();
         }
-        let open_connections = pool.labeled_registry().gauge(
+        let open_connections = metrics.registry().gauge(
             "snn_pool_open_connections",
             "Connections currently registered with the readiness loop",
         );
@@ -664,17 +658,13 @@ impl EventLoop {
             ("GET", "/metrics") => {
                 content_type = "text/plain; version=0.0.4";
                 self.pool.refresh_gauges();
-                (200, self.metrics.render_prometheus_with(self.pool.labeled_registry()))
+                (200, self.metrics.render_prometheus())
             }
             ("GET", "/metrics.json") => {
                 self.pool.refresh_gauges();
-                let snap = self.metrics.snapshot(self.pool.registry().info());
                 let body = Value::Object(vec![
-                    ("summary".into(), snap.to_value()),
-                    (
-                        "instruments".into(),
-                        self.metrics.snapshot_instruments_with(self.pool.labeled_registry()),
-                    ),
+                    ("model".into(), self.pool.registry().info().to_value()),
+                    ("instruments".into(), self.metrics.snapshot_instruments()),
                 ]);
                 (200, serde_json::to_string(&body).expect("Value serializes infallibly"))
             }
@@ -699,7 +689,7 @@ impl EventLoop {
         };
         self.respond(conn, status, content_type, &response_body, close, Some(&ctx.trace_hex()));
         if head.method == "POST" && head.path == "/reload" {
-            self.finish(&head.path, &ctx, status, received, &Finish::default(), None);
+            self.finish(&head.path, &ctx, status, received, &Finish::default());
         }
         conn.idle_since = Instant::now();
     }
@@ -718,7 +708,7 @@ impl EventLoop {
             this.metrics.bad_requests.inc();
             this.respond(conn, 400, "application/json", &error_body(msg), close, Some(&trace_hex));
             let fin = Finish { outcome: "bad_input", ..Finish::default() };
-            this.finish("/infer", &ctx, 400, received, &fin, None);
+            this.finish("/infer", &ctx, 400, received, &fin);
             conn.idle_since = Instant::now();
         };
         if let Some(msg) = content_type_error(head.content_type.as_deref()) {
@@ -771,7 +761,7 @@ impl EventLoop {
                     replied: Some(Instant::now()),
                     ..Finish::default()
                 };
-                self.finish("/infer", &ctx, status, received, &fin, Some(replica));
+                self.finish("/infer", &ctx, status, received, &fin);
                 conn.idle_since = Instant::now();
             }
         }
@@ -868,7 +858,7 @@ impl EventLoop {
             req.close,
             Some(&req.ctx.trace_hex()),
         );
-        self.finish("/infer", &req.ctx, status, req.received, &fin, Some(req.replica));
+        self.finish("/infer", &req.ctx, status, req.received, &fin);
         conn.idle_since = Instant::now();
     }
 
@@ -886,17 +876,12 @@ impl EventLoop {
         status: u16,
         received: Instant,
         fin: &Finish,
-        replica: Option<usize>,
     ) {
         let finished = Instant::now();
         let total_us = (finished - received).as_micros() as u64;
         if path == "/infer" {
             if status != 400 {
-                let ok = !matches!(status, 429 | 503 | 504);
-                self.metrics.slo_record(ok, total_us);
-                if let Some(r) = replica {
-                    self.pool.slo_record(r, ok, total_us);
-                }
+                self.metrics.slo_record(!matches!(status, 429 | 503 | 504), total_us);
             }
             if status >= 500 || status == 429 {
                 snn_obs::log_warn!(

@@ -4,7 +4,7 @@
 //! health, atomic multi-replica and int8 reload, request tracing,
 //! SLO-driven health, and the metric expositions.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -369,16 +369,20 @@ fn metrics_families_and_unknown_routes() {
     }
     let (status, json) = request(pool.addr(), "GET", "/metrics.json", "");
     assert_eq!(status, 200);
-    for field in [
-        "\"summary\":",
-        "\"mean_batch_size\":",
-        "\"latency_us\":",
-        "\"instruments\":",
-        "\"queue_depth\"",
-    ] {
-        assert!(json.contains(field), "missing {field} in {json}");
+    let parsed = serde_json::parse(&json).expect("metrics.json body parses");
+    let keys: Vec<&str> =
+        parsed.as_object().expect("object body").iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["model", "instruments"], "top-level keys of {json}");
+    assert_eq!(get_str(get(&parsed, "model").unwrap(), "name"), Some("demo"));
+    // Each instrument appears once: no second copy of the histograms.
+    let Some(Value::Array(instruments)) = get(&parsed, "instruments") else {
+        panic!("no instruments array in {json}")
+    };
+    let names: BTreeSet<&str> = instruments.iter().map(|i| get_str(i, "name").unwrap()).collect();
+    assert_eq!(names.len(), instruments.len(), "an instrument is listed twice in {json}");
+    for name in ["snn_serve_request_latency_seconds", "snn_serve_queue_depth"] {
+        assert!(names.contains(&name), "missing {name} in {json}");
     }
-    serde_json::parse(&json).expect("metrics.json body parses");
     assert_eq!(request(pool.addr(), "GET", "/nope", "").0, 404);
     assert_eq!(request(pool.addr(), "DELETE", "/infer", "").0, 405);
 }
@@ -744,4 +748,87 @@ fn metrics_text_and_json_expositions_agree() {
         text.contains("\nsnn_serve_stage_queue_wait_seconds_count 3\n"),
         "stage histogram missed the 3 requests: {text}"
     );
+    // The per-layer counters (matched to JSON by the loop above) are
+    // exact: 3 requests × 2 timesteps × 256 conv1 (4×8×8) or 4 fc1
+    // outputs.
+    for series in [
+        "\nsnn_serve_layer_spikes_total{layer=\"conv1\"} ",
+        "\nsnn_serve_layer_spikes_total{layer=\"fc1\"} ",
+        "\nsnn_serve_layer_neuron_steps_total{layer=\"conv1\"} 1536\n",
+        "\nsnn_serve_layer_neuron_steps_total{layer=\"fc1\"} 24\n",
+    ] {
+        assert!(text.contains(series), "{series:?} missing from {text}");
+    }
+}
+
+/// Every `*_seconds` histogram a server exports — request latency,
+/// serve stages, per-replica timings, spans — shares one bucket
+/// ladder, so their quantiles have one resolution.
+#[test]
+fn every_seconds_family_has_one_bucket_ladder() {
+    let pool = start_pool(2);
+    for _ in 0..4 {
+        assert_eq!(request(pool.addr(), "POST", "/infer", &infer_body()).0, 200);
+    }
+    let (_, text) = request(pool.addr(), "GET", "/metrics", "");
+    // Series (family plus every label but `le`) → its `le` values.
+    let mut ladders: BTreeMap<String, Vec<&str>> = BTreeMap::new();
+    for line in text.lines() {
+        let Some((family, rest)) = line.split_once("_seconds_bucket{") else { continue };
+        let (labels, le) = rest.split_once("le=").expect("bucket has an le label");
+        let le = le.split('}').next().unwrap();
+        ladders.entry(format!("{family}{{{labels}")).or_default().push(le);
+    }
+    for series in ["snn_serve_request_latency{", "snn_pool_replica_infer{replica=\"1\","] {
+        assert!(ladders.contains_key(series), "no {series} ladder in {text}");
+    }
+    let first = ladders.values().next().unwrap();
+    assert_eq!(first.len(), 27, "26 bounds plus +Inf");
+    for (series, ladder) in &ladders {
+        assert_eq!(ladder, first, "{series} has its own ladder");
+    }
+}
+
+/// Each replica has its own AIMD limit; the exported gauge is their
+/// sum, not whichever replica wrote last.
+#[test]
+fn admit_limit_sums_over_replicas() {
+    let pool = start(PoolServerConfig {
+        batcher: BatcherConfig { timesteps: 2, capacity: 32, ..BatcherConfig::default() },
+        ..config(2)
+    });
+    let (_, text) = request(pool.addr(), "GET", "/metrics", "");
+    assert!(text.contains("\nsnn_serve_admit_limit 64\n"), "2 × capacity 32 in {text}");
+}
+
+/// Requests that ride one batch split its forward time: together they
+/// add one forward pass to `snn_pool_replica_infer_seconds_sum`, so
+/// the sum over wall time is the engine's busy fraction.
+#[test]
+fn batch_riders_add_one_forward_time_to_replica_infer_seconds() {
+    let pool = start(PoolServerConfig {
+        batcher: BatcherConfig {
+            timesteps: 2,
+            max_batch: 2,
+            max_wait: Duration::from_millis(500),
+            ..BatcherConfig::default()
+        },
+        ..config(1)
+    });
+    let addr = pool.addr();
+    let riders: Vec<_> = (0..2)
+        .map(|_| std::thread::spawn(move || request(addr, "POST", "/infer", &infer_body())))
+        .collect();
+    let replies: Vec<Value> =
+        riders.into_iter().map(|t| serde_json::parse(&t.join().unwrap().1).unwrap()).collect();
+    let infer_us = get_num(&replies[0], "infer_us").unwrap();
+    for reply in &replies {
+        assert_eq!(get_num(reply, "batch_size"), Some(2.0), "both ride one batch");
+        assert_eq!(get_num(reply, "infer_us"), Some(infer_us), "one shared forward pass");
+    }
+    // Halving and doubling are exact, so the sum is bit-identical.
+    let (_, text) = request(addr, "GET", "/metrics", "");
+    let sum = "snn_pool_replica_infer_seconds_sum";
+    let one = format!("\n{sum}{{replica=\"0\"}} {}\n", infer_us * 1e-6);
+    assert!(text.contains(&one), "expected {one:?} in {text}");
 }

@@ -19,6 +19,7 @@
 use serde::Serialize;
 
 use snn_core::{NetworkSnapshot, SnapshotError, SpikingNetwork};
+use snn_quant::StageMeta;
 use snn_tensor::{Shape, Tensor};
 
 /// Firing statistics of one layer for a single request.
@@ -61,14 +62,49 @@ pub struct RequestOutput {
     pub engine: String,
 }
 
-/// Static per-layer bookkeeping captured once at engine build.
-struct LayerMeta {
-    name: String,
-    /// Output elements per batch item.
-    item_len: usize,
-    /// Whether the layer hosts LIF neurons (conv/dense); only those
-    /// appear in per-request firing reports.
-    spiking: bool,
+/// Builds one batch's responses — the f32 and int8 engines both
+/// answer through here. `spikes[layer][item]` sums each spiking
+/// layer's spikes over timesteps (non-spiking rows are empty);
+/// `head(i)` gives item `i`'s class and counts.
+pub(crate) fn batch_outputs(
+    layers: &[StageMeta],
+    spikes: &[Vec<f64>],
+    densities: &[f64],
+    timesteps: usize,
+    engine: &str,
+    head: impl Fn(usize) -> (usize, Vec<f32>),
+) -> Vec<RequestOutput> {
+    (0..densities.len())
+        .map(|i| {
+            let (class, counts) = head(i);
+            let layers: Vec<LayerFiring> = layers
+                .iter()
+                .zip(spikes)
+                .filter(|(m, _)| m.spiking)
+                .map(|(m, s)| {
+                    let neuron_steps = (m.item_len * timesteps) as f64;
+                    LayerFiring {
+                        layer: m.name.clone(),
+                        spikes: s[i],
+                        neuron_steps,
+                        rate: s[i] / neuron_steps,
+                    }
+                })
+                .collect();
+            let (total_s, total_ns) = layers
+                .iter()
+                .fold((0.0, 0.0), |(s, ns), l| (s + l.spikes, ns + l.neuron_steps));
+            RequestOutput {
+                class,
+                counts,
+                timesteps,
+                layers,
+                mean_rate: if total_ns > 0.0 { total_s / total_ns } else { 0.0 },
+                input_density: densities[i],
+                engine: engine.into(),
+            }
+        })
+        .collect()
 }
 
 /// Forward-only executor for one model snapshot.
@@ -82,7 +118,9 @@ pub struct InferenceEngine {
     timesteps: usize,
     item_shape: Shape,
     classes: usize,
-    layers: Vec<LayerMeta>,
+    /// Per-layer name, output size and whether it spikes, captured at
+    /// build.
+    layers: Vec<StageMeta>,
 }
 
 impl InferenceEngine {
@@ -102,7 +140,7 @@ impl InferenceEngine {
         let layers = net
             .layers()
             .iter()
-            .map(|l| LayerMeta {
+            .map(|l| StageMeta {
                 name: l.name().to_string(),
                 item_len: l.output_item_shape().len(),
                 spiking: l.lif_config().is_some(),
@@ -179,41 +217,11 @@ impl InferenceEngine {
             }
         });
 
-        (0..n)
-            .map(|i| {
-                let counts: Vec<f32> = out.counts.as_slice()
-                    [i * self.classes..(i + 1) * self.classes]
-                    .to_vec();
-                let layers: Vec<LayerFiring> = self
-                    .layers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.spiking)
-                    .map(|(li, m)| {
-                        let neuron_steps = (m.item_len * self.timesteps) as f64;
-                        let s = spikes[li][i];
-                        LayerFiring {
-                            layer: m.name.clone(),
-                            spikes: s,
-                            neuron_steps,
-                            rate: s / neuron_steps,
-                        }
-                    })
-                    .collect();
-                let (total_s, total_ns) = layers
-                    .iter()
-                    .fold((0.0, 0.0), |(s, ns), l| (s + l.spikes, ns + l.neuron_steps));
-                RequestOutput {
-                    class: out.counts.argmax_row(i),
-                    counts,
-                    timesteps: self.timesteps,
-                    layers,
-                    mean_rate: if total_ns > 0.0 { total_s / total_ns } else { 0.0 },
-                    input_density: densities[i],
-                    engine: "f32".into(),
-                }
-            })
-            .collect()
+        let classes = self.classes;
+        batch_outputs(&self.layers, &spikes, &densities, self.timesteps, "f32", |i| {
+            let counts = out.counts.as_slice()[i * classes..(i + 1) * classes].to_vec();
+            (out.counts.argmax_row(i), counts)
+        })
     }
 
     /// Convenience wrapper: a batch of one.

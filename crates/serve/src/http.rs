@@ -18,7 +18,7 @@
 //! | `/infer` | POST | `{"input": [...], "timeout_ms": n?}` → prediction + per-layer firing rates |
 //! | `/healthz` | GET | liveness + served model name/version |
 //! | `/metrics` | GET | Prometheus text exposition (instance + global instruments) |
-//! | `/metrics.json` | GET | JSON: [`crate::MetricsSnapshot`] summary + full instrument dump |
+//! | `/metrics.json` | GET | `{"model": ModelInfo, "instruments": [...]}`: the same instruments as JSON |
 //! | `/reload` | POST | snapshot JSON → validated atomic hot-swap |
 //! | `/debug/traces` | GET | tail-sampled recent request traces |
 //! | `/debug/traces/<id>` | GET | one trace by its 32-hex id |

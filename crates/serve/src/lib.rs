@@ -100,7 +100,7 @@ pub use http::{
     traces_list_response, RequestHead, ServeError, ENGINE_GRACE, IDLE_TIMEOUT, MAX_BODY,
     MAX_HEAD,
 };
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::Metrics;
 pub use qengine::{AnyEngine, QuantEngine};
 pub use queue::{Batcher, BatcherConfig, InferReply, Rejection, Ticket};
 pub use registry::{ModelInfo, ModelRegistry, QuantInfo, ServedModel, SwapError, SwapReceipt};

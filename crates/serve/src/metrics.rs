@@ -1,62 +1,22 @@
 //! Serving metrics on the `snn-obs` instrument spine.
 //!
-//! Each server instance owns a local [`snn_obs::Registry`] — tests
-//! spawn several servers per process, so instance isolation matters —
-//! and the exposition endpoints merge it with the process-wide
+//! Each server instance owns one local [`snn_obs::Registry`] — tests
+//! spawn several servers per process, so instance isolation matters.
+//! Everything the server measures lives there: these serve-side
+//! instruments and, registered by the `snn-pool` front end, its
+//! per-replica, router, quarantine and connection series. Both
+//! expositions render that one registry followed by the process-wide
 //! [`snn_obs::global`] registry (kernel spans, training instruments).
 //!
 //! Hot-path counters are lock-free obs handles; only the per-layer
-//! firing aggregate sits behind a short mutex touched once per batch.
+//! counter cache sits behind a short mutex touched once per batch.
 
 use std::sync::{Arc, Mutex};
 
-use serde::Serialize;
-use snn_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, SloConfig, SloTracker};
+use snn_obs::{Counter, Gauge, Histogram, Registry, SloConfig, SloTracker};
 
 use crate::admission::Brownout;
 use crate::engine::RequestOutput;
-use crate::registry::ModelInfo;
-
-/// Bucket bounds for the end-to-end request latency histogram,
-/// seconds: powers of two from 10µs to ~5s.
-fn latency_bounds() -> Vec<f64> {
-    let mut b = Vec::with_capacity(20);
-    let mut v = 1e-5;
-    for _ in 0..20 {
-        b.push(v);
-        v *= 2.0;
-    }
-    b
-}
-
-/// Percentiles of the end-to-end request latency, microseconds,
-/// derived from `snn_serve_request_latency_seconds`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct LatencyStats {
-    /// Requests recorded.
-    pub samples: usize,
-    /// Median end-to-end latency (submit → reply), microseconds.
-    pub p50_us: u64,
-    /// 95th percentile latency, microseconds.
-    pub p95_us: u64,
-    /// 99th percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Worst latency recorded, microseconds.
-    pub max_us: u64,
-}
-
-/// Cumulative per-layer firing aggregate across all served requests.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct LayerRateAgg {
-    /// Layer name.
-    pub layer: String,
-    /// Total output spikes.
-    pub spikes: f64,
-    /// Total spike opportunities.
-    pub neuron_steps: f64,
-    /// `spikes / neuron_steps`.
-    pub rate: f64,
-}
 
 /// Shared serving instruments, backed by a per-instance registry.
 pub struct Metrics {
@@ -91,7 +51,8 @@ pub struct Metrics {
     /// derived from other counters, so it cannot go stale across
     /// `/reload` or shutdown drains.
     pub queue_depth: Arc<Gauge>,
-    /// Current AIMD admission queue-depth limit.
+    /// AIMD admission queue-depth limit, summed over replicas; set at
+    /// scrape time by the pool front end.
     pub admit_limit: Arc<Gauge>,
     /// Submissions shed at admission by the AIMD limit (429 +
     /// `Retry-After`).
@@ -117,7 +78,10 @@ pub struct Metrics {
     latency: Arc<Histogram>,
     batch_size: Arc<Histogram>,
     firing_rate: Arc<Histogram>,
-    layers: Mutex<Vec<LayerRateAgg>>,
+    /// `snn_serve_layer_{spikes,neuron_steps}_total{layer=…}` handles,
+    /// registered on first sight of each layer name (a `/reload` may
+    /// bring new layers).
+    layers: Mutex<Vec<(String, [Arc<Counter>; 2])>>,
     /// SLO accounting; `None` when no objectives are configured.
     slo: Option<SloTracker>,
     slo_latency_5m: Arc<Gauge>,
@@ -204,7 +168,7 @@ impl Metrics {
             registry.gauge("snn_serve_queue_depth", "jobs currently waiting in the batch queue");
         let admit_limit = registry.gauge(
             "snn_serve_admit_limit",
-            "current AIMD admission queue-depth limit (capacity when uncongested)",
+            "AIMD admission queue-depth limit summed over replicas (capacity when uncongested)",
         );
         let admit_shed = registry.counter(
             "snn_serve_admit_shed_total",
@@ -218,31 +182,31 @@ impl Metrics {
             "snn_serve_brownout_active",
             "1 while brownout degradation routes batches to the INT8 engine",
         );
-        let stage_bounds = snn_obs::span_bounds();
+        let seconds = snn_obs::span_bounds();
         let stage_parse = registry.histogram(
             "snn_serve_stage_parse_seconds",
             "parse stage: request read and JSON validation, seconds",
-            stage_bounds,
+            seconds,
         );
         let stage_queue_wait = registry.histogram(
             "snn_serve_stage_queue_wait_seconds",
             "queue_wait stage: enqueue to worker drain, seconds",
-            stage_bounds,
+            seconds,
         );
         let stage_batch_form = registry.histogram(
             "snn_serve_stage_batch_form_seconds",
             "batch_form stage: drain to forward start, seconds (per batch)",
-            stage_bounds,
+            seconds,
         );
         let stage_forward = registry.histogram(
             "snn_serve_stage_forward_seconds",
             "forward stage: the shared forward pass, seconds (per batch)",
-            stage_bounds,
+            seconds,
         );
         let stage_respond = registry.histogram(
             "snn_serve_stage_respond_seconds",
             "respond stage: reply serialization and socket write, seconds",
-            stage_bounds,
+            seconds,
         );
         let slo_latency_5m = registry.gauge(
             "snn_slo_burn_rate_latency_5m",
@@ -267,7 +231,7 @@ impl Metrics {
         let latency = registry.histogram(
             "snn_serve_request_latency_seconds",
             "end-to-end request latency (submit to reply), seconds",
-            &latency_bounds(),
+            seconds,
         );
         let batch_size = registry.histogram(
             "snn_serve_batch_size",
@@ -277,7 +241,7 @@ impl Metrics {
         let firing_rate = registry.histogram(
             "snn_serve_layer_firing_rate_ratio",
             "per-layer firing rate of served requests",
-            &(1..=20).map(|i| i as f64 * 0.05).collect::<Vec<_>>(),
+            snn_obs::firing_rate_bounds(),
         );
         Metrics {
             registry,
@@ -356,11 +320,6 @@ impl Metrics {
         self.slo.as_ref().is_some_and(|slo| slo.burn_rates().fast_burn)
     }
 
-    /// The configured SLO objectives, if any.
-    pub fn slo_config(&self) -> Option<&SloConfig> {
-        self.slo.as_ref().map(|s| s.config())
-    }
-
     /// Refreshes the `snn_slo_*` gauges from the tracker. Called at
     /// scrape time by both expositions, so the hot path never pays
     /// for burn-rate math.
@@ -385,191 +344,92 @@ impl Metrics {
         }
     }
 
-    /// Folds a completed batch's per-request firing statistics into
-    /// the cumulative per-layer aggregate, and records the realized
-    /// batch size and every layer's firing rate into their
-    /// histograms.
+    /// Records a completed batch: its realized size, every request's
+    /// per-layer firing rate, and each layer's spikes and neuron-steps
+    /// into the `snn_serve_layer_{spikes,neuron_steps}_total{layer=…}`
+    /// counters (both exact integers).
     pub fn record_batch_outputs(&self, outputs: &[RequestOutput]) {
-        if outputs.is_empty() {
-            return;
-        }
+        let Some(first) = outputs.first() else { return };
         self.batch_size.record(outputs.len() as f64);
-        // Recover from poisoning: the aggregate stays consistent per
-        // entry, and metrics must never wedge the serving path.
-        let mut agg = self.layers.lock().unwrap_or_else(|p| p.into_inner());
-        for out in outputs {
-            if agg.is_empty() {
-                agg.extend(out.layers.iter().map(|l| LayerRateAgg {
-                    layer: l.layer.clone(),
-                    spikes: 0.0,
-                    neuron_steps: 0.0,
-                    rate: 0.0,
-                }));
-            }
-            for (a, l) in agg.iter_mut().zip(&out.layers) {
-                a.spikes += l.spikes;
-                a.neuron_steps += l.neuron_steps;
-                if l.neuron_steps > 0.0 {
-                    self.firing_rate.record(l.rate);
-                }
+        for l in outputs.iter().flat_map(|out| &out.layers) {
+            if l.neuron_steps > 0.0 {
+                self.firing_rate.record(l.rate);
             }
         }
-        for a in agg.iter_mut() {
-            a.rate = if a.neuron_steps > 0.0 { a.spikes / a.neuron_steps } else { 0.0 };
+        // Recover from poisoning: the cache only ever grows, and
+        // metrics must never wedge the serving path.
+        let mut cache = self.layers.lock().unwrap_or_else(|p| p.into_inner());
+        for (i, layer) in first.layers.iter().enumerate() {
+            let name = &layer.layer;
+            let k = cache.iter().position(|(n, _)| n == name).unwrap_or_else(|| {
+                let counter = |family: &str, help: &str| {
+                    self.registry.counter(&format!("{family}{{layer=\"{name}\"}}"), help)
+                };
+                let spikes = counter("snn_serve_layer_spikes_total", "output spikes per layer");
+                let steps = counter("snn_serve_layer_neuron_steps_total", "neuron-steps per layer");
+                cache.push((name.clone(), [spikes, steps]));
+                cache.len() - 1
+            });
+            let [spikes, steps] = &cache[k].1;
+            for l in outputs.iter().filter_map(|out| out.layers.get(i)) {
+                spikes.add(l.spikes as u64);
+                steps.add(l.neuron_steps as u64);
+            }
         }
     }
 
-    /// Derives the classic microsecond percentile report from the
-    /// latency histogram.
-    fn latency_stats(&self) -> LatencyStats {
-        let to_us = |s: f64| (s * 1e6).round() as u64;
-        LatencyStats {
-            samples: self.latency.count() as usize,
-            p50_us: to_us(self.latency.quantile(0.50)),
-            p95_us: to_us(self.latency.quantile(0.95)),
-            p99_us: to_us(self.latency.quantile(0.99)),
-            max_us: to_us(self.latency.max()),
-        }
-    }
-
-    /// Snapshots every instrument into a serializable report.
-    pub fn snapshot(&self, model: ModelInfo) -> MetricsSnapshot {
-        let batches = self.batches.get();
-        let batched_items = self.batched_items.get();
-        MetricsSnapshot {
-            model,
-            received: self.received.get(),
-            completed: self.completed.get(),
-            rejected_full: self.rejected_full.get(),
-            rejected_deadline: self.rejected_deadline.get(),
-            rejected_shutdown: self.rejected_shutdown.get(),
-            bad_requests: self.bad_requests.get(),
-            worker_panics: self.worker_panics.get(),
-            circuit_state: self.circuit_state.get(),
-            batches,
-            batched_items,
-            engine_f32_requests: self.engine_f32_requests.get(),
-            engine_int8_requests: self.engine_int8_requests.get(),
-            mean_batch_size: if batches > 0 {
-                batched_items as f64 / batches as f64
-            } else {
-                0.0
-            },
-            queue_depth: self.queue_depth.get(),
-            admit_limit: self.admit_limit.get(),
-            admit_shed: self.admit_shed.get(),
-            brownout_active: self.brownout.active(),
-            latency_us: self.latency_stats(),
-            layers: self.layers.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-            histograms: self.registry.histogram_snapshots(),
-        }
+    /// This server's instrument registry. The pool front end registers
+    /// its per-replica, router and connection series here, so one
+    /// registry holds everything the server exports.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// Prometheus text exposition, with `# HELP`/`# TYPE` per family
-    /// and a trailing newline: this instance's instruments, then a
-    /// second, caller-owned registry, then the process-wide global
-    /// registry. The pool front end keeps its per-replica labeled
-    /// series (`replica="<i>"`) and router counters in `extra`, so both
-    /// expositions show them without the shared instance registry
-    /// learning about replication. The process-wide
+    /// and a trailing newline: this server's registry, then the
+    /// process-wide global registry. The process-wide
     /// `snn_fault_injected_total` / `snn_recovery_total` counters ride
     /// in with the global registry — snn-fault registers them there.
-    ///
-    /// The pre-PR-3 bare-name alias series (`received`, `completed`,
-    /// …) are gone as of this release — scrape the `snn_serve_*`
-    /// families (see CHANGELOG.md).
-    pub fn render_prometheus_with(&self, extra: &Registry) -> String {
+    pub fn render_prometheus(&self) -> String {
         self.update_slo_gauges();
         let mut out = self.registry.render_prometheus();
-        out.push_str(&extra.render_prometheus());
         out.push_str(&snn_obs::global().render_prometheus());
         out
     }
 
-    /// Structured JSON form of [`Metrics::render_prometheus_with`]'s
-    /// exposition, as a [`serde::Value`] array: this instance's
-    /// instruments, then `extra`'s, then the global registry's — so
-    /// the text and JSON expositions always agree on the instrument
-    /// set.
-    pub fn snapshot_instruments_with(&self, extra: &Registry) -> serde::Value {
+    /// The same instruments as [`Metrics::render_prometheus`], as a
+    /// [`serde::Value`] array in the same order — so the text and JSON
+    /// expositions always agree on the instrument set.
+    pub fn snapshot_instruments(&self) -> serde::Value {
         self.update_slo_gauges();
-        let mut items = match self.registry.snapshot_value() {
-            serde::Value::Array(items) => items,
-            other => vec![other],
-        };
-        if let serde::Value::Array(extra_items) = extra.snapshot_value() {
-            items.extend(extra_items);
-        }
-        if let serde::Value::Array(global_items) = snn_obs::global().snapshot_value() {
-            items.extend(global_items);
-        }
+        let mut items = self.registry.snapshot_values();
+        items.extend(snn_obs::global().snapshot_values());
         serde::Value::Array(items)
     }
-}
-
-/// Point-in-time copy of all serving counters (the `/metrics.json`
-/// summary body).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MetricsSnapshot {
-    /// The model the counters describe.
-    pub model: ModelInfo,
-    /// Requests accepted into the queue.
-    pub received: u64,
-    /// Requests answered with an inference result.
-    pub completed: u64,
-    /// Submissions rejected at capacity.
-    pub rejected_full: u64,
-    /// Requests shed after their deadline lapsed in queue.
-    pub rejected_deadline: u64,
-    /// Requests drained during shutdown.
-    pub rejected_shutdown: u64,
-    /// Malformed HTTP requests.
-    pub bad_requests: u64,
-    /// Batch-worker panics caught and recovered.
-    pub worker_panics: u64,
-    /// Circuit-breaker state at snapshot time (0 closed, 1 half-open,
-    /// 2 open).
-    pub circuit_state: f64,
-    /// Batched forward passes executed.
-    pub batches: u64,
-    /// Requests served across those batches.
-    pub batched_items: u64,
-    /// Requests served by the f32 engine.
-    pub engine_f32_requests: u64,
-    /// Requests served by the quantized INT8 engine.
-    pub engine_int8_requests: u64,
-    /// `batched_items / batches` — the realized batching factor.
-    pub mean_batch_size: f64,
-    /// Jobs waiting in the batch queue right now.
-    pub queue_depth: f64,
-    /// AIMD admission limit at snapshot time.
-    pub admit_limit: f64,
-    /// Submissions shed at admission by the AIMD limit.
-    pub admit_shed: u64,
-    /// Whether brownout degradation was active at snapshot time.
-    pub brownout_active: bool,
-    /// Latency percentiles derived from the latency histogram.
-    pub latency_us: LatencyStats,
-    /// Cumulative per-layer firing rates.
-    pub layers: Vec<LayerRateAgg>,
-    /// Full bucket snapshots of every instance histogram.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::LayerFiring;
 
-    fn model() -> ModelInfo {
-        ModelInfo {
-            name: "m".into(),
-            version: 1,
-            dtype: "f32".into(),
-            input_len: 4,
-            classes: 2,
-            params: 10,
-            hash: "0123456789abcdef".into(),
-            quant: None,
+    fn output(layers: &[(&str, f64, f64)]) -> RequestOutput {
+        RequestOutput {
+            class: 0,
+            counts: vec![1.0, 0.0],
+            timesteps: 2,
+            layers: layers
+                .iter()
+                .map(|&(layer, spikes, neuron_steps)| LayerFiring {
+                    layer: layer.into(),
+                    spikes,
+                    neuron_steps,
+                    rate: spikes / neuron_steps,
+                })
+                .collect(),
+            mean_rate: 0.3,
+            input_density: 0.5,
+            engine: "int8".into(),
         }
     }
 
@@ -579,59 +439,37 @@ mod tests {
         for us in 1..=100 {
             m.record_latency(us);
         }
-        let s = m.snapshot(model());
-        assert_eq!(s.latency_us.samples, 100);
+        let h = m.latency.snapshot("latency");
+        assert_eq!(h.count, 100);
         // Bucketed estimates: the true p50 is ~50µs; the enclosing
-        // bucket is (40µs, 80µs], so the estimate must land there.
-        assert!(
-            (40..=80).contains(&s.latency_us.p50_us),
-            "p50 {}us outside its bucket",
-            s.latency_us.p50_us
-        );
-        assert!(s.latency_us.p95_us >= s.latency_us.p50_us);
-        assert!(s.latency_us.p99_us >= s.latency_us.p95_us);
-        assert_eq!(s.latency_us.max_us, 100);
+        // bucket of the 1µs·2^k ladder is (32µs, 64µs].
+        assert!((32e-6..=64e-6).contains(&h.p50), "p50 {}s outside its bucket", h.p50);
+        assert!(h.p95 >= h.p50);
+        assert!(h.p99 >= h.p95);
+        assert!((h.max - 100e-6).abs() < 1e-12);
     }
 
     #[test]
-    fn layer_aggregation() {
-        use crate::engine::{LayerFiring, RequestOutput};
+    fn layer_counters_accumulate_per_layer_name() {
         let m = Metrics::default();
-        let out = RequestOutput {
-            class: 0,
-            counts: vec![1.0, 0.0],
-            timesteps: 2,
-            layers: vec![LayerFiring {
-                layer: "conv1".into(),
-                spikes: 3.0,
-                neuron_steps: 10.0,
-                rate: 0.3,
-            }],
-            mean_rate: 0.3,
-            input_density: 0.5,
-            engine: "int8".into(),
-        };
+        let out = output(&[("conv1", 3.0, 10.0)]);
         m.record_batch_outputs(&[out.clone(), out]);
-        let s = m.snapshot(model());
-        assert_eq!(s.layers.len(), 1);
-        assert_eq!(s.layers[0].spikes, 6.0);
-        assert_eq!(s.layers[0].neuron_steps, 20.0);
-        assert!((s.layers[0].rate - 0.3).abs() < 1e-12);
         // Both requests' firing rates landed in the histogram, and the
         // batch-size histogram saw one batch of 2.
-        let rate_snap = s
-            .histograms
-            .iter()
-            .find(|h| h.name == "snn_serve_layer_firing_rate_ratio")
-            .expect("firing-rate histogram present");
-        assert_eq!(rate_snap.count, 2);
-        let batch_snap = s
-            .histograms
-            .iter()
-            .find(|h| h.name == "snn_serve_batch_size")
-            .expect("batch-size histogram present");
-        assert_eq!(batch_snap.count, 1);
-        assert_eq!(batch_snap.max, 2.0);
+        assert_eq!((m.firing_rate.count(), m.batch_size.count(), m.batch_size.max()), (2, 1, 2.0));
+        // A reloaded model with a different layer list gets its own
+        // series in the same family; the old layer keeps adding up.
+        m.record_batch_outputs(&[output(&[("fc1", 1.0, 4.0), ("conv1", 2.0, 10.0)])]);
+        let text = m.render_prometheus();
+        for needle in [
+            "# TYPE snn_serve_layer_spikes_total counter\n\
+             snn_serve_layer_spikes_total{layer=\"conv1\"} 8\n\
+             snn_serve_layer_spikes_total{layer=\"fc1\"} 1\n",
+            "snn_serve_layer_neuron_steps_total{layer=\"conv1\"} 30\n",
+            "snn_serve_layer_neuron_steps_total{layer=\"fc1\"} 4\n",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
     }
 
     #[test]
@@ -642,12 +480,9 @@ mod tests {
         m.record_engine_requests("weird", 9);
         assert_eq!(m.engine_f32_requests.get(), 3);
         assert_eq!(m.engine_int8_requests.get(), 2);
-        let text = m.render_prometheus_with(&Registry::new());
+        let text = m.render_prometheus();
         assert!(text.contains("snn_serve_engine_f32_requests_total 3"), "{text}");
         assert!(text.contains("snn_serve_engine_int8_requests_total 2"), "{text}");
-        let s = m.snapshot(model());
-        assert_eq!(s.engine_f32_requests, 3);
-        assert_eq!(s.engine_int8_requests, 2);
     }
 
     #[test]
@@ -664,7 +499,7 @@ mod tests {
         let m = Metrics::default();
         m.received.add(3);
         m.record_latency(1500);
-        let text = m.render_prometheus_with(&Registry::new());
+        let text = m.render_prometheus();
         assert!(text.ends_with('\n'));
         for needle in [
             "# TYPE snn_serve_requests_received_total counter\n",
@@ -694,13 +529,12 @@ mod tests {
     fn slo_gauges_follow_burn_rates() {
         let cfg = SloConfig::parse("p99=25ms,avail=99.9").unwrap();
         let m = Metrics::with_slo(Some(cfg));
-        assert!(m.slo_config().is_some());
         // 20 requests, half failing: availability burn = 500 ≫ 14.4.
         for i in 0..20u64 {
             m.slo_record(i % 2 == 0, 1_000);
         }
         assert!(m.slo_fast_burn());
-        let text = m.render_prometheus_with(&Registry::new());
+        let text = m.render_prometheus();
         assert!(text.contains("snn_slo_fast_burn 1\n"), "{text}");
         // render refreshed the gauges; the budget (1 - 0.999) is not
         // an exact float, so compare numerically rather than textually.
@@ -712,14 +546,14 @@ mod tests {
         // Untracked metrics instances keep the gauges at rest.
         let idle = Metrics::with_slo(None);
         assert!(!idle.slo_fast_burn());
-        assert!(idle.render_prometheus_with(&Registry::new()).contains("snn_slo_fast_burn 0\n"));
+        assert!(idle.render_prometheus().contains("snn_slo_fast_burn 0\n"));
     }
 
     #[test]
     fn required_histograms_are_exposed() {
         let m = Metrics::default();
         let names: Vec<String> =
-            m.snapshot(model()).histograms.into_iter().map(|h| h.name).collect();
+            m.registry().histogram_snapshots().into_iter().map(|h| h.name).collect();
         for required in [
             "snn_serve_request_latency_seconds",
             "snn_serve_batch_size",

@@ -15,10 +15,10 @@
 //! moves the serving path from f32 to integer arithmetic end-to-end
 //! without restarting the process.
 
-use crate::engine::{InferenceEngine, LayerFiring, RequestOutput};
+use crate::engine::{batch_outputs, InferenceEngine, RequestOutput};
 use crate::registry::ServedModel;
 use snn_core::SnapshotError;
-use snn_quant::{classify_counts, QuantNetwork, QuantizedSnapshot};
+use snn_quant::{classify_counts, QuantNetwork, QuantizedSnapshot, StageMeta};
 
 /// Integer-only executor for one quantized artifact.
 ///
@@ -29,6 +29,9 @@ use snn_quant::{classify_counts, QuantNetwork, QuantizedSnapshot};
 pub struct QuantEngine {
     net: QuantNetwork,
     timesteps: usize,
+    /// A copy of the network's stage descriptions, readable while the
+    /// network runs.
+    layers: Vec<StageMeta>,
 }
 
 impl QuantEngine {
@@ -45,7 +48,8 @@ impl QuantEngine {
         }
         let net = QuantNetwork::from_snapshot(artifact)
             .map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-        Ok(QuantEngine { net, timesteps })
+        let layers = net.stage_meta().to_vec();
+        Ok(QuantEngine { net, timesteps, layers })
     }
 
     /// Elements in one flattened input item.
@@ -87,15 +91,10 @@ impl QuantEngine {
 
         // spikes[stage][item], accumulated over timesteps; only
         // spiking stages get a row.
-        let meta: Vec<(String, usize, bool)> = self
-            .net
-            .stage_meta()
+        let mut spikes: Vec<Vec<f64>> = self
+            .layers
             .iter()
-            .map(|m| (m.name.clone(), m.item_len, m.spiking))
-            .collect();
-        let mut spikes: Vec<Vec<f64>> = meta
-            .iter()
-            .map(|(_, _, spiking)| if *spiking { vec![0.0; n] } else { Vec::new() })
+            .map(|m| if m.spiking { vec![0.0; n] } else { Vec::new() })
             .collect();
         let counts = self
             .net
@@ -114,38 +113,10 @@ impl QuantEngine {
             .expect("queue and HTTP layer validate inputs before dispatch");
 
         let classes = self.classes();
-        (0..n)
-            .map(|i| {
-                let row = &counts[i * classes..(i + 1) * classes];
-                let layers: Vec<LayerFiring> = meta
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, spiking))| *spiking)
-                    .map(|(si, (name, item_len, _))| {
-                        let neuron_steps = (item_len * self.timesteps) as f64;
-                        let s = spikes[si][i];
-                        LayerFiring {
-                            layer: name.clone(),
-                            spikes: s,
-                            neuron_steps,
-                            rate: s / neuron_steps,
-                        }
-                    })
-                    .collect();
-                let (total_s, total_ns) = layers
-                    .iter()
-                    .fold((0.0, 0.0), |(s, ns), l| (s + l.spikes, ns + l.neuron_steps));
-                RequestOutput {
-                    class: classify_counts(row),
-                    counts: row.iter().map(|&c| c as f32).collect(),
-                    timesteps: self.timesteps,
-                    layers,
-                    mean_rate: if total_ns > 0.0 { total_s / total_ns } else { 0.0 },
-                    input_density: densities[i],
-                    engine: "int8".into(),
-                }
-            })
-            .collect()
+        batch_outputs(&self.layers, &spikes, &densities, self.timesteps, "int8", |i| {
+            let row = &counts[i * classes..(i + 1) * classes];
+            (classify_counts(row), row.iter().map(|&c| c as f32).collect())
+        })
     }
 
     /// Convenience wrapper: a batch of one.

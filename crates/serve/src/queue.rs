@@ -264,7 +264,6 @@ impl Batcher {
         let breaker =
             Arc::new(CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown));
         let admission = Arc::new(AimdController::new(cfg.admission.clone(), cfg.capacity));
-        metrics.admit_limit.set(admission.limit());
         let worker = {
             let shared = Arc::clone(&shared);
             let cfg = cfg.clone();
@@ -532,7 +531,6 @@ fn run_worker(
             if admission.observe(shed_wait, Duration::ZERO) {
                 metrics.admit_decreases.inc();
             }
-            metrics.admit_limit.set(admission.limit());
         }
         if batch.is_empty() {
             continue;
@@ -640,7 +638,6 @@ fn run_worker(
         if admission.observe(oldest_wait, Duration::from_micros(infer_us)) {
             metrics.admit_decreases.inc();
         }
-        metrics.admit_limit.set(admission.limit());
 
         metrics.batches.inc();
         metrics.batched_items.add(batch.len() as u64);
@@ -713,14 +710,13 @@ mod tests {
 
     #[test]
     fn serves_a_request_end_to_end() {
-        let (_r, metrics, batcher) = setup(BatcherConfig::default());
+        let (_registry, metrics, batcher) = setup(BatcherConfig::default());
         let reply = batcher.submit(input(1), None).unwrap().wait().unwrap();
         assert_eq!(reply.output.counts.len(), 4);
         assert!(!reply.output.layers.is_empty());
         assert_eq!(reply.model_version, 1);
-        let snap = metrics.snapshot(_r.info());
-        assert_eq!(snap.completed, 1);
-        assert_eq!(snap.batches, 1);
+        assert_eq!(metrics.completed.get(), 1);
+        assert_eq!(metrics.batches.get(), 1);
     }
 
     #[test]

@@ -85,6 +85,8 @@ grep -q '^# TYPE snn_serve_request_latency_seconds histogram$' "$metrics_text" \
   || { echo "ci.sh: /metrics lacks the request latency histogram" >&2; exit 1; }
 grep -q '^# TYPE snn_slo_burn_rate_availability_5m gauge$' "$metrics_text" \
   || { echo "ci.sh: /metrics lacks the SLO burn-rate gauges" >&2; exit 1; }
+grep -q '^snn_serve_layer_spikes_total{layer="conv1"} [0-9][0-9]*$' "$metrics_text" \
+  || { echo "ci.sh: /metrics lacks the per-layer spike counters" >&2; exit 1; }
 rm -f "$metrics_text" "$metrics_json"
 echo "ci.sh: observability smoke test passed"
 
