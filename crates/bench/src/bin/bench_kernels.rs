@@ -19,10 +19,13 @@
 //! * **Density sweep** — times the event-driven datapath against the
 //!   dense route at input sparsities 50/75/90/95/99%, serially, for
 //!   conv2d (dispatcher-forced routes, f32 and int8), the dense-layer
-//!   spike-gather GEMM, the masked LIF step, and an end-to-end network
-//!   forward pass (adaptive dispatch vs pinned dense). This is the
-//!   figure backing the "inference cost scales with firing rate"
-//!   claim.
+//!   spike-gather GEMM, the masked LIF step, and two end-to-end
+//!   network forward passes (adaptive dispatch vs pinned dense): a
+//!   small conv net on frames that change every timestep, and the
+//!   paper topology on one frame presented at every timestep (direct
+//!   coding, the serving case, where the first conv's current is
+//!   computed once per sequence). This is the figure backing the
+//!   "inference cost scales with firing rate" claim.
 //!
 //! `--smoke` shrinks every shape and the default rep count so the
 //! whole run finishes in seconds; CI uses it to regression-gate the
@@ -34,7 +37,7 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use snn_core::neuron::{lif_step, lif_step_masked, LifState};
+use snn_core::neuron::{lif_step_in_place, lif_step_masked, LifState};
 use snn_core::{LifConfig, SpikingNetwork, Surrogate};
 use snn_tensor::conv::{conv2d_forward_routed, conv2d_forward_with, Conv2dGeometry, ConvScratch};
 use snn_tensor::dispatch::{set_event_density_threshold, ConvRoute};
@@ -190,7 +193,8 @@ struct LifDensitySweep {
     plane: usize,
     /// `event_seconds` is `lif_step_masked` under a touch mask
     /// matching the input's spatial support; `dense_seconds` is the
-    /// unmasked `lif_step` on the same input.
+    /// unmasked in-place step (`lif_step_in_place`) on the same input.
+    /// Each is the step a conv layer runs on that route.
     points: Vec<SweepPoint>,
 }
 
@@ -266,6 +270,7 @@ struct DensitySweep {
     gemm_nt: GemmDensitySweep,
     lif_step: LifDensitySweep,
     forward: ForwardDensitySweep,
+    forward_direct: ForwardDensitySweep,
 }
 
 #[derive(Serialize)]
@@ -331,6 +336,7 @@ struct Sizes {
     lif: (usize, usize, usize),         // items, channels, plane-side
     fwd: (usize, usize, usize, usize),  // in_ch, img, filters, timesteps
     fwd_batch: usize,
+    direct: (usize, usize, usize),      // img, batch, timesteps
 }
 
 const FULL: Sizes = Sizes {
@@ -339,6 +345,7 @@ const FULL: Sizes = Sizes {
     lif: (64, 32, 16),
     fwd: (2, 16, 16, 8),
     fwd_batch: 8,
+    direct: (16, 16, 3),
 };
 
 const SMOKE: Sizes = Sizes {
@@ -347,6 +354,7 @@ const SMOKE: Sizes = Sizes {
     lif: (8, 16, 8),
     fwd: (2, 8, 8, 4),
     fwd_batch: 2,
+    direct: (8, 2, 3),
 };
 
 fn bench_conv(reps: usize, host: usize, sz: &Sizes) -> ConvBench {
@@ -410,8 +418,11 @@ fn bench_lif(reps: usize, host: usize, sz: &Sizes) -> LifBench {
         membrane: lcg_tensor(shape, 41, 0.6),
         prev_spikes: lcg_tensor(shape, 43, 1.0).map(|v| f32::from(v > 0.0)),
     };
+    // The production kernel: after the first call the state is owned
+    // alone, so every timed step updates it in place.
+    let mut stepped = state.clone();
     let scaling = scale_over_threads(reps, host, || {
-        let _ = lif_step(&cfg, &state, &input);
+        let _ = lif_step_in_place(&cfg, &mut stepped, &input);
     });
     LifBench { elements: input.len(), scaling }
 }
@@ -589,8 +600,9 @@ fn sweep_lif(reps: usize, sz: &Sizes) -> LifDensitySweep {
             });
             let mut touch = TouchMask::new();
             touch.build_from_nonzero(input.as_slice(), items, channels, plane);
+            let mut stepped = state.clone();
             let dense_seconds = time_serial(reps, || {
-                let _ = lif_step(&cfg, &state, &input);
+                let _ = lif_step_in_place(&cfg, &mut stepped, &input);
             });
             let event_seconds = time_serial(reps, || {
                 let _ = lif_step_masked(&cfg, &state, &input, &touch, &bias);
@@ -607,31 +619,18 @@ fn sweep_lif(reps: usize, sz: &Sizes) -> LifDensitySweep {
     LifDensitySweep { items, channels, plane, points }
 }
 
-/// End-to-end forward sweep: a small conv network over `timesteps`
-/// frames, adaptive dispatch (production default) vs pinned dense.
-fn sweep_forward(reps: usize, sz: &Sizes) -> ForwardDensitySweep {
-    let (in_ch, img, filters, timesteps) = sz.fwd;
-    let batch = sz.fwd_batch;
-    let lif = lif_config();
-    let mut net = SpikingNetwork::builder(Shape::d3(in_ch, img, img), 17)
-        .conv(filters, 3, 1, 1, lif)
-        .expect("valid conv")
-        .conv(filters, 3, 1, 1, lif)
-        .expect("valid conv")
-        .flatten()
-        .expect("flatten")
-        .dense(10, lif)
-        .expect("valid dense")
-        .build()
-        .expect("valid network");
-    let topology = format!("{in_ch}x{img}x{img} -> {filters}C3 -> {filters}C3 -> fc10");
-    let points = SWEEP_SPARSITIES
+/// Times `net` over each sparsity's frames, pinned to the dense route
+/// and with adaptive dispatch (the production default), serially.
+fn sweep_network(
+    reps: usize,
+    net: &mut SpikingNetwork,
+    frames_at: impl Fn(u64) -> Vec<Tensor>,
+) -> Vec<SweepPoint> {
+    SWEEP_SPARSITIES
         .iter()
         .map(|&sp| {
-            let frames: Vec<Tensor> = (0..timesteps)
-                .map(|t| spike_tensor(Shape::d4(batch, in_ch, img, img), 61 + sp + t as u64, 100 - sp))
-                .collect();
-            let density = frames.iter().map(measured_density).sum::<f64>() / timesteps as f64;
+            let frames = frames_at(sp);
+            let density = frames.iter().map(measured_density).sum::<f64>() / frames.len() as f64;
             set_event_density_threshold(-1.0);
             let dense_seconds = time_serial(reps, || {
                 let _ = net.run_inference(&frames);
@@ -648,7 +647,47 @@ fn sweep_forward(reps: usize, sz: &Sizes) -> ForwardDensitySweep {
                 event_speedup: dense_seconds / event_seconds,
             }
         })
-        .collect();
+        .collect()
+}
+
+/// End-to-end forward sweep: a small conv network over `timesteps`
+/// frames that differ per step, adaptive dispatch vs pinned dense.
+fn sweep_forward(reps: usize, sz: &Sizes) -> ForwardDensitySweep {
+    let (in_ch, img, filters, timesteps) = sz.fwd;
+    let batch = sz.fwd_batch;
+    let lif = lif_config();
+    let mut net = SpikingNetwork::builder(Shape::d3(in_ch, img, img), 17)
+        .conv(filters, 3, 1, 1, lif)
+        .expect("valid conv")
+        .conv(filters, 3, 1, 1, lif)
+        .expect("valid conv")
+        .flatten()
+        .expect("flatten")
+        .dense(10, lif)
+        .expect("valid dense")
+        .build()
+        .expect("valid network");
+    let topology = format!("{in_ch}x{img}x{img} -> {filters}C3 -> {filters}C3 -> fc10");
+    let points = sweep_network(reps, &mut net, |sp| {
+        (0..timesteps)
+            .map(|t| spike_tensor(Shape::d4(batch, in_ch, img, img), 61 + sp + t as u64, 100 - sp))
+            .collect()
+    });
+    ForwardDensitySweep { batch, timesteps, topology, points }
+}
+
+/// The serving case: the paper topology (3-channel input, 10
+/// classes) under direct coding — one frame presented at every
+/// timestep, as clones that share its storage, so conv1 computes its
+/// current once per sequence.
+fn sweep_forward_direct(reps: usize, sz: &Sizes) -> ForwardDensitySweep {
+    let (img, batch, timesteps) = sz.direct;
+    let mut net = SpikingNetwork::paper_topology(Shape::d3(3, img, img), 10, lif_config(), 19)
+        .expect("valid paper topology");
+    let topology = format!("3x{img}x{img} -> 32C3-P2-32C3-MP2-256-10, direct coding");
+    let points = sweep_network(reps, &mut net, |sp| {
+        vec![spike_tensor(Shape::d4(batch, 3, img, img), 67 + sp, 100 - sp); timesteps]
+    });
     ForwardDensitySweep { batch, timesteps, topology, points }
 }
 
@@ -796,6 +835,9 @@ fn main() {
     let fwd_sweep = sweep_forward(reps, &sizes);
     println!("forward topology: {} (T={})", fwd_sweep.topology, fwd_sweep.timesteps);
     print_sweep("network forward (adaptive dispatch vs pinned dense)", &fwd_sweep.points);
+    let direct_sweep = sweep_forward_direct(reps, &sizes);
+    println!("forward_direct topology: {} (T={})", direct_sweep.topology, direct_sweep.timesteps);
+    print_sweep("direct-coded forward (adaptive dispatch vs pinned dense)", &direct_sweep.points);
 
     let report = KernelReport {
         schema_version: snn_bench::BENCH_SCHEMA_VERSION,
@@ -814,6 +856,7 @@ fn main() {
             gemm_nt: gemm_sweep,
             lif_step: lif_sweep,
             forward: fwd_sweep,
+            forward_direct: direct_sweep,
         },
         span_histograms: snn_obs::global().histogram_snapshots(),
     };

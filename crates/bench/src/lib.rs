@@ -38,7 +38,11 @@ use snn_dse::ExperimentProfile;
 /// `event_vs_spike_gemm` — the conv forward's im2col spike-gather
 /// branch is gone, so its rows compare only the dense GEMM and event
 /// routes.
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: `density_sweep` gains `forward_direct` — the paper topology
+/// under direct coding (one frame presented at every timestep, the
+/// serving case), same row layout as `forward`.
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Schema version of `BENCH_serve.json`, split from the kernel track
 /// at v6 so the two report families can evolve independently.

@@ -322,7 +322,7 @@ pub fn check_log(text: &str) -> Result<usize, String> {
 /// with `snn_bench::BENCH_SCHEMA_VERSION` by hand — the CLI stays
 /// below the bench crate in the dependency order, and a version drift
 /// is exactly what this check exists to catch.
-pub const BENCH_KERNELS_SCHEMA: f64 = 6.0;
+pub const BENCH_KERNELS_SCHEMA: f64 = 7.0;
 
 /// Validates a `BENCH_kernels.json` report and (optionally) gates on
 /// the event-driven conv2d speedup and the int8 GEMM speedup.
@@ -331,9 +331,10 @@ pub const BENCH_KERNELS_SCHEMA: f64 = 6.0;
 /// [`BENCH_KERNELS_SCHEMA`], a non-empty `git_commit`, an `int8_gemm`
 /// section with finite timings and a finite `int8_speedup`, and a
 /// `density_sweep` section whose `conv2d`, `conv2d_int8`, `gemm_nt`,
-/// `lif_step`, and `forward` sweeps each carry one point per entry of
-/// `sparsities_pct`, with finite timings and speedups (the int8 conv
-/// rows additionally need a finite `f32_dense_seconds` baseline).
+/// `lif_step`, `forward` and `forward_direct` sweeps each carry one
+/// point per entry of `sparsities_pct`, with finite timings and
+/// speedups (the int8 conv rows additionally need a finite
+/// `f32_dense_seconds` baseline).
 ///
 /// If `min_conv_event_speedup` is given, the conv2d sweep's
 /// 90%-sparsity point must show at least that `event_speedup` over
@@ -393,7 +394,7 @@ pub fn check_bench_kernels(
         return Err("density_sweep.sparsities_pct is empty".into());
     }
     let mut conv_90_speedup = None;
-    for section in ["conv2d", "conv2d_int8", "gemm_nt", "lif_step", "forward"] {
+    for section in ["conv2d", "conv2d_int8", "gemm_nt", "lif_step", "forward", "forward_direct"] {
         let Some(serde::Value::Object(sec)) = get(&sweep, section) else {
             return Err(format!("density_sweep lacks `{section}`"));
         };
@@ -795,12 +796,13 @@ mod tests {
              \"int8_gemm\":{{\"m\":64,\"k\":128,\"n\":64,\"f32_seconds\":0.003,\
              \"int8_seconds\":0.002,\"int8_speedup\":{int8_speedup}}},\
              \"density_sweep\":{{\
-             \"sparsities_pct\":[50,90],{},{},{},{},{}}}}}",
+             \"sparsities_pct\":[50,90],{},{},{},{},{},{}}}}}",
             section("conv2d"),
             section("conv2d_int8"),
             section("gemm_nt"),
             section("lif_step"),
-            section("forward")
+            section("forward"),
+            section("forward_direct")
         )
     }
 
@@ -810,21 +812,23 @@ mod tests {
 
     #[test]
     fn validates_bench_kernels_report() {
-        let good = bench_report("6", "2.5");
+        let good = bench_report("7", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("2.50x"), "summary was `{summary}`");
         check_bench_kernels(&good, Some(1.5), None).unwrap();
         assert!(check_bench_kernels(&good, Some(3.0), None).is_err(), "below gate");
-        assert!(check_bench_kernels(&bench_report("5", "2.5"), None, None).is_err(), "old schema");
+        assert!(check_bench_kernels(&bench_report("6", "2.5"), None, None).is_err(), "old schema");
         assert!(check_bench_kernels("not json", None, None).is_err());
         assert!(check_bench_kernels("{}", None, None).is_err(), "missing everything");
-        let no_90 = bench_report("6", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
+        let no_90 = bench_report("7", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
         assert!(check_bench_kernels(&no_90, None, None).is_err(), "no 90% point");
+        let no_direct = good.replace("\"forward_direct\"", "\"forward_indirect\"");
+        assert!(check_bench_kernels(&no_direct, None, None).is_err(), "missing forward_direct");
     }
 
     #[test]
     fn gates_and_validates_int8_rows() {
-        let good = bench_report_gated("6", "2.5", "1.35");
+        let good = bench_report_gated("7", "2.5", "1.35");
         let summary = check_bench_kernels(&good, None, Some(1.2)).unwrap();
         assert!(summary.contains("1.35x"), "summary was `{summary}`");
         assert!(

@@ -4,7 +4,7 @@ use snn_tensor::conv::{conv2d_backward_with, conv2d_forward_routed, Conv2dGeomet
 use snn_tensor::dispatch::ConvRoute;
 use snn_tensor::{Init, Shape, Tensor};
 
-use crate::neuron::{lif_backward_step, lif_step, lif_step_masked, LifConfig, LifState};
+use crate::neuron::{lif_backward_step, lif_step_in_place, lif_step_masked, LifConfig, LifState};
 
 use super::{LayerActivity, ParamMut};
 
@@ -40,6 +40,36 @@ pub struct SpikingConv2d {
     /// Reusable im2col / spike-index buffers; allocated once per
     /// sequence instead of once per timestep.
     scratch: ConvScratch,
+    /// The last convolution: its input, weight and bias (clones that
+    /// pin their storage), output current and route. Boxed to keep
+    /// the `Layer` enum's variants close in size.
+    last_conv: Option<Box<ConvMemo>>,
+}
+
+/// One convolution's operands and result, kept so the next timestep
+/// can skip the convolution when it sees the same operands again.
+///
+/// Direct coding presents one input tensor (clones of it) at every
+/// timestep, so a first layer's current is the same at each step.
+/// Operands are matched by [`Tensor::same_storage`]: copy-on-write
+/// means shared storage implies identical contents, and holding the
+/// clones keeps the buffers alive, so the reused current is exactly
+/// the one the convolution would compute.
+#[derive(Debug, Clone)]
+struct ConvMemo {
+    input: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    current: Tensor,
+    route: ConvRoute,
+}
+
+impl ConvMemo {
+    fn matches(&self, input: &Tensor, weight: &Tensor, bias: &Tensor) -> bool {
+        self.input.same_storage(input)
+            && self.weight.same_storage(weight)
+            && self.bias.same_storage(bias)
+    }
 }
 
 impl SpikingConv2d {
@@ -71,6 +101,7 @@ impl SpikingConv2d {
             total_spikes: 0.0,
             neuron_steps: 0.0,
             scratch: ConvScratch::new(),
+            last_conv: None,
         }
     }
 
@@ -88,14 +119,43 @@ impl SpikingConv2d {
         self.carry_u = None;
         self.total_spikes = 0.0;
         self.neuron_steps = 0.0;
+        self.last_conv = None;
+    }
+
+    pub(crate) fn end_sequence(&mut self) {
+        self.state = None;
+        self.last_conv = None;
+    }
+
+    /// The convolution's output current and route for `input`, reused
+    /// from the previous timestep when its operands are the same
+    /// tensors (see [`ConvMemo`]).
+    fn conv_current(&mut self, input: &Tensor) -> (Tensor, ConvRoute) {
+        if let Some(m) = &self.last_conv {
+            if m.matches(input, &self.weight, &self.bias) {
+                return (m.current.clone(), m.route);
+            }
+        }
+        // Free the stale current before allocating the new one, so the
+        // allocator can hand its buffer straight back.
+        self.last_conv = None;
+        let (current, route) =
+            conv2d_forward_routed(&self.geom, input, &self.weight, &self.bias, &mut self.scratch)
+                .expect("conv geometry validated at construction");
+        self.last_conv = Some(Box::new(ConvMemo {
+            input: input.clone(),
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            current: current.clone(),
+            route,
+        }));
+        (current, route)
     }
 
     pub(crate) fn forward_step(&mut self, input: &Tensor) -> Tensor {
         let batch = input.shape().dim(0);
         let out_shape = Shape::d4(batch, self.geom.out_channels, self.geom.out_h(), self.geom.out_w());
-        let (current, route) =
-            conv2d_forward_routed(&self.geom, input, &self.weight, &self.bias, &mut self.scratch)
-                .expect("conv geometry validated at construction");
+        let (current, route) = self.conv_current(input);
         let state = self
             .state
             .get_or_insert_with(|| LifState::new(out_shape));
@@ -105,22 +165,29 @@ impl SpikingConv2d {
         // unless most channels carry a nonzero bias, in which case the
         // masked fix-up pass would redo nearly all the work anyway.
         // Both LIF variants are bitwise identical (see `lif_step_masked`).
+        // A reused current comes with its own call's route, and the
+        // scratch still holds that call's touch mask: `last_conv` is
+        // replaced on every convolution this layer runs.
         let zero_bias = self.bias.as_slice().iter().filter(|&&b| b == 0.0).count();
-        let (u, s) = if route == ConvRoute::Event && 2 * zero_bias >= self.geom.out_channels {
-            lif_step_masked(&self.lif, state, &current, self.scratch.touch(), &self.bias)
+        let s = if route == ConvRoute::Event && 2 * zero_bias >= self.geom.out_channels {
+            let (u, s) =
+                lif_step_masked(&self.lif, state, &current, self.scratch.touch(), &self.bias);
+            *state = LifState { membrane: u, prev_spikes: s.clone() };
+            s
         } else {
-            lif_step(&self.lif, state, &current)
+            lif_step_in_place(&self.lif, state, &current)
         };
-        self.total_spikes += s.sum();
+        // Spikes are exactly 0.0 or 1.0, so the count is their sum.
+        self.total_spikes += s.count_nonzero() as f64;
         self.neuron_steps += s.len() as f64;
         // Tensors are copy-on-write, so caching clones of the spike and
-        // membrane maps shares the underlying buffer (no data copies).
+        // membrane maps shares the underlying buffer (no data copies);
+        // the next in-place LIF step detaches its own copy.
         if self.train {
             self.cached_inputs.push(input.clone());
-            self.cached_membranes.push(u.clone());
+            self.cached_membranes.push(state.membrane.clone());
             self.cached_spikes.push(s.clone());
         }
-        *state = LifState { membrane: u, prev_spikes: s.clone() };
         s
     }
 
@@ -151,6 +218,9 @@ impl SpikingConv2d {
     }
 
     pub(crate) fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        // The caller may rewrite the weights; drop the pinned clones
+        // so the write stays in place instead of detaching a copy.
+        self.last_conv = None;
         vec![
             ParamMut {
                 name: format!("{}.weight", self.name),
@@ -221,6 +291,25 @@ mod tests {
         assert_eq!(a.neurons, 2 * 4 * 4);
         assert_eq!(a.neuron_steps, (2 * 4 * 4 * 4) as f64);
         assert!(a.firing_rate() >= 0.0 && a.firing_rate() <= 1.0);
+    }
+
+    #[test]
+    fn repeated_input_reuses_the_current() {
+        let mut l = tiny_layer();
+        l.begin_sequence(false);
+        let x = Tensor::ones(Shape::d4(1, 1, 4, 4));
+        let (c0, _) = l.conv_current(&x);
+        let (c1, _) = l.conv_current(&x.clone());
+        assert!(c0.same_storage(&c1), "a clone of the input reuses the current");
+        let copy = Tensor::from_vec(x.shape(), x.as_slice().to_vec()).unwrap();
+        let (c2, _) = l.conv_current(&copy);
+        assert!(!c2.same_storage(&c1), "equal values in other storage recompute");
+        assert_eq!(c2, c1);
+        l.params_mut()[0].value.as_mut_slice()[0] += 1.0;
+        let (c3, _) = l.conv_current(&copy);
+        assert_ne!(c3, c2, "a weight edit recomputes");
+        l.begin_sequence(false);
+        assert!(l.last_conv.is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use snn_tensor::{linalg, Init, Shape, Tensor};
 
-use crate::neuron::{lif_backward_step, lif_step, LifConfig, LifState};
+use crate::neuron::{lif_backward_step, lif_step_in_place, LifConfig, LifState};
 
 use super::{LayerActivity, ParamMut};
 
@@ -89,6 +89,10 @@ impl SpikingDense {
         self.neuron_steps = 0.0;
     }
 
+    pub(crate) fn end_sequence(&mut self) {
+        self.state = None;
+    }
+
     pub(crate) fn forward_step(&mut self, input: &Tensor) -> Tensor {
         let batch = input.shape().dim(0);
         assert_eq!(
@@ -103,17 +107,18 @@ impl SpikingDense {
         let out_shape = Shape::d2(batch, self.out_features);
         let state = self.state.get_or_insert_with(|| LifState::new(out_shape));
         assert_eq!(state.membrane.shape(), out_shape, "batch size changed mid-sequence");
-        let (u, s) = lif_step(&self.lif, state, &current);
-        self.total_spikes += s.sum();
+        let s = lif_step_in_place(&self.lif, state, &current);
+        // Spikes are exactly 0.0 or 1.0, so the count is their sum.
+        self.total_spikes += s.count_nonzero() as f64;
         self.neuron_steps += s.len() as f64;
         // Tensors are copy-on-write, so caching clones of the spike and
-        // membrane maps shares the underlying buffer (no data copies).
+        // membrane maps shares the underlying buffer (no data copies);
+        // the next in-place LIF step detaches its own copy.
         if self.train {
             self.cached_inputs.push(input.clone());
-            self.cached_membranes.push(u.clone());
+            self.cached_membranes.push(state.membrane.clone());
             self.cached_spikes.push(s.clone());
         }
-        *state = LifState { membrane: u, prev_spikes: s.clone() };
         s
     }
 

@@ -112,6 +112,16 @@ impl Layer {
         }
     }
 
+    /// Frees what only the current sequence's forward steps read: LIF
+    /// state and the convolution memo. BPTT caches and activity stay.
+    pub(crate) fn end_sequence(&mut self) {
+        match self {
+            Layer::SpikingConv2d(l) => l.end_sequence(),
+            Layer::SpikingDense(l) => l.end_sequence(),
+            Layer::MaxPool2d(_) | Layer::Flatten(_) => {}
+        }
+    }
+
     /// Processes one timestep of input, returning the layer output.
     ///
     /// # Panics

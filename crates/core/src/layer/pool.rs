@@ -52,7 +52,9 @@ impl MaxPool2d {
     }
 
     pub(crate) fn forward_step(&mut self, input: &Tensor) -> Tensor {
-        let f = maxpool2d_forward(&self.geom, input).expect("pool geometry validated");
+        // Only backward reads the argmax, so inference skips it.
+        let f = maxpool2d_forward(&self.geom, input, self.train)
+            .expect("pool geometry validated");
         self.total_spikes += f.output.sum();
         self.neuron_steps += f.output.len() as f64;
         if self.train {

@@ -316,6 +316,18 @@ impl SpikingNetwork {
         }
     }
 
+    /// Ends a sequence's forward pass: frees the LIF state and
+    /// convolution memos that only its forward steps read, so an
+    /// engine kept between requests does not hold the last batch's
+    /// membranes and conv current. BPTT caches and activity stay, so
+    /// [`SpikingNetwork::backward_sequence`] and
+    /// [`SpikingNetwork::activities`] are unaffected.
+    fn end_sequence(&mut self) {
+        for l in &mut self.layers {
+            l.end_sequence();
+        }
+    }
+
     /// Processes one timestep, returning output-layer spikes
     /// `[N, classes]`.
     pub fn forward_step(&mut self, input: &Tensor) -> Tensor {
@@ -371,6 +383,7 @@ impl SpikingNetwork {
             let s = self.forward_step(f);
             counts.add_assign(&s).expect("output shape invariant");
         }
+        self.end_sequence();
         SequenceOutput { counts, timesteps: frames.len() }
     }
 
@@ -410,6 +423,7 @@ impl SpikingNetwork {
             }
             counts.add_assign(&x).expect("output shape invariant");
         }
+        self.end_sequence();
         SequenceOutput { counts, timesteps: frames.len() }
     }
 

@@ -134,52 +134,62 @@ impl LifState {
     }
 }
 
-/// One LIF timestep over a whole activation tensor.
+/// One LIF timestep over a whole activation tensor, updating `state`
+/// in place.
 ///
 /// Given the synaptic input current `input` (= `Σ w·s` from the
-/// preceding linear operation) and the previous state, produces the
-/// new membrane potential and the output spikes per Eqs. 1–2.
+/// preceding linear operation), advances `state` to the new membrane
+/// potential and output spikes per Eqs. 1–2 and returns the spikes
+/// (a clone sharing `state.prev_spikes`' storage).
 ///
-/// Returns `(membrane_u_t, spikes_s_t)`; callers update `state`
-/// themselves (the trainer needs both old and new values for BPTT
-/// caching).
+/// Both state tensors are written through [`Tensor::as_mut_slice`]:
+/// free when the layer owns them alone, a copy-on-write detach when a
+/// caller still holds a clone (the trainer's BPTT caches do), so a
+/// cached `u[t]`/`s[t]` never changes under it.
 ///
 /// # Panics
 ///
 /// Panics if the tensor shapes disagree (programming error inside a
 /// layer, not user input).
-pub fn lif_step(cfg: &LifConfig, state: &LifState, input: &Tensor) -> (Tensor, Tensor) {
+pub fn lif_step_in_place(cfg: &LifConfig, state: &mut LifState, input: &Tensor) -> Tensor {
     assert_eq!(state.membrane.shape(), input.shape(), "LIF state/input shape mismatch");
+    assert_eq!(state.prev_spikes.shape(), input.shape(), "LIF state/input shape mismatch");
     let _span = snn_obs::span!("lif_step");
-    let u_prev = state.membrane.as_slice();
-    let s_prev = state.prev_spikes.as_slice();
     let in_v = input.as_slice();
-    let mut u = Tensor::zeros(input.shape());
-    let mut s = Tensor::zeros(input.shape());
-    if in_v.is_empty() {
-        return (u, s);
-    }
-    {
-        let uv = u.as_mut_slice();
-        let sv = s.as_mut_slice();
-        // Purely elementwise (~5 flops each): any chunking is bitwise
+    if !in_v.is_empty() {
+        let uv = state.membrane.as_mut_slice();
+        let sv = state.prev_spikes.as_mut_slice();
+        // Purely elementwise (~5 flops each), and each element reads
+        // only its own previous value: any chunking is bitwise
         // identical to the serial loop, so thread count cannot change
         // results.
         par::for_each_block2(uv, 1, sv, 1, par::min_granules_for(5), |i0, ublock, sblock| {
-            for (j, (uval, sval)) in ublock.iter_mut().zip(sblock.iter_mut()).enumerate() {
-                let i = i0 + j;
+            let in_block = &in_v[i0..i0 + ublock.len()];
+            for ((uval, sval), &x) in ublock.iter_mut().zip(sblock.iter_mut()).zip(in_block) {
                 let decayed = match cfg.reset {
-                    ResetMode::Subtract => {
-                        cfg.beta * u_prev[i] + in_v[i] - s_prev[i] * cfg.theta
-                    }
-                    ResetMode::Zero => cfg.beta * u_prev[i] * (1.0 - s_prev[i]) + in_v[i],
+                    ResetMode::Subtract => cfg.beta * *uval + x - *sval * cfg.theta,
+                    ResetMode::Zero => cfg.beta * *uval * (1.0 - *sval) + x,
                 };
                 *uval = decayed;
                 *sval = if decayed > cfg.theta { 1.0 } else { 0.0 };
             }
         });
     }
-    (u, s)
+    state.prev_spikes.clone()
+}
+
+/// One LIF timestep that leaves `state` untouched: [`lif_step_in_place`]
+/// on a copy-on-write clone of it.
+///
+/// Returns `(membrane_u_t, spikes_s_t)`.
+///
+/// # Panics
+///
+/// Panics if the tensor shapes disagree.
+pub fn lif_step(cfg: &LifConfig, state: &LifState, input: &Tensor) -> (Tensor, Tensor) {
+    let mut next = state.clone();
+    let s = lif_step_in_place(cfg, &mut next, input);
+    (next.membrane, s)
 }
 
 /// Event-driven LIF timestep: [`lif_step`] restricted to the neurons

@@ -7,7 +7,7 @@
 //! module runs the *f32* reference forward — the same kernels the
 //! trained network used — over a calibration split and records both.
 
-use snn_core::neuron::{lif_step, LifState};
+use snn_core::neuron::{lif_step_in_place, LifState};
 use snn_core::{LayerSnapshot, NetworkSnapshot};
 use snn_tensor::conv::conv2d_forward;
 use snn_tensor::linalg::{add_bias_rows, matmul_nt};
@@ -116,10 +116,7 @@ fn observe_chunk(
                     fold_max(&current, &mut current_max[idx]);
                     let state = states[idx]
                         .get_or_insert_with(|| LifState::new(current.shape()));
-                    let (u, s) = lif_step(lif, state, &current);
-                    state.membrane = u;
-                    state.prev_spikes = s.clone();
-                    s
+                    lif_step_in_place(lif, state, &current)
                 }
                 LayerSnapshot::Dense { lif, weight, bias, name } => {
                     let mut current = matmul_nt(&x, weight)
@@ -129,12 +126,9 @@ fn observe_chunk(
                     fold_max(&current, &mut current_max[idx]);
                     let state = states[idx]
                         .get_or_insert_with(|| LifState::new(current.shape()));
-                    let (u, s) = lif_step(lif, state, &current);
-                    state.membrane = u;
-                    state.prev_spikes = s.clone();
-                    s
+                    lif_step_in_place(lif, state, &current)
                 }
-                LayerSnapshot::Pool { geom, name } => maxpool2d_forward(geom, &x)
+                LayerSnapshot::Pool { geom, name } => maxpool2d_forward(geom, &x, false)
                     .map_err(|e| QuantError::Calibration(format!("pool {name}: {e}")))?
                     .output,
                 LayerSnapshot::Flatten { .. } => {

@@ -196,8 +196,10 @@ impl InferenceEngine {
         let batch = Tensor::from_vec(Shape::from_dims(&dims), data)
             .expect("batch dims match data length");
 
-        // Direct coding: the same frame every timestep. Tensor clones
-        // are O(1) Arc copies, so this allocates nothing.
+        // Direct coding: the same frame every timestep. The clones
+        // share one storage buffer, which is how conv1 recognises a
+        // repeated input and computes its current once per batch
+        // instead of once per timestep.
         let frames = vec![batch; self.timesteps];
 
         // spikes[layer][item], accumulated over timesteps.
@@ -211,9 +213,11 @@ impl InferenceEngine {
             if acc.is_empty() {
                 return;
             }
+            // Spikes are exactly 0.0 or 1.0, so counting the nonzeros
+            // gives the same f64 as summing them.
             let per_item = y.len() / n;
             for (i, chunk) in y.as_slice().chunks_exact(per_item).enumerate() {
-                acc[i] += chunk.iter().map(|&v| v as f64).sum::<f64>();
+                acc[i] += chunk.iter().filter(|&&v| v != 0.0).count() as f64;
             }
         });
 
@@ -312,6 +316,63 @@ mod tests {
             assert_eq!(batched[i], solo, "item {i} diverged between batch and serial");
             for (a, b) in batched[i].counts.iter().zip(&solo.counts) {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// A batched pass (direct coding: clones of one batch tensor,
+        /// so conv1 computes its current once) equals per-item
+        /// `run_inference` on deep-copied frames, which runs conv1 at
+        /// every step: counts, classes and per-layer spike totals, bit
+        /// for bit.
+        #[test]
+        fn batch_equals_per_item_deep_copy_reference(
+            conv_conv in proptest::prelude::any::<bool>(),
+            timesteps in 1usize..6,
+            n in 1usize..5,
+            theta in 0.2f32..1.2,
+            sparse in proptest::prelude::any::<bool>(),
+            seed in 0u64..10_000,
+        ) {
+            let lif = LifConfig { theta, ..LifConfig::paper_default() };
+            let b = SpikingNetwork::builder(Shape::d3(1, 8, 8), seed).conv(4, 3, 1, 1, lif).unwrap();
+            let b = if conv_conv { b.conv(3, 3, 1, 1, lif) } else { b.maxpool(2) }.unwrap();
+            let net = b.flatten().unwrap().dense(4, lif).unwrap().build().unwrap();
+            let snap = NetworkSnapshot::from_network(&net);
+            let items: Vec<Vec<f32>> = (0..n as u64)
+                .map(|i| {
+                    let mut x = input(seed * 8 + i);
+                    if sparse {
+                        // Mostly zeros: conv1 takes the event route.
+                        x.iter_mut().skip(4).for_each(|v| *v = 0.0);
+                    }
+                    x
+                })
+                .collect();
+            let mut engine = InferenceEngine::new(snap.clone(), timesteps).unwrap();
+            let batched = engine.infer_batch(&items);
+            for (i, item) in items.iter().enumerate() {
+                let mut solo = snap.clone().into_network();
+                let frames: Vec<Tensor> = (0..timesteps)
+                    .map(|_| Tensor::from_vec(Shape::d4(1, 1, 8, 8), item.clone()).unwrap())
+                    .collect();
+                let out = solo.run_inference(&frames);
+                let want: Vec<u32> = out.counts.as_slice().iter().map(|v| v.to_bits()).collect();
+                let got: Vec<u32> = batched[i].counts.iter().map(|v| v.to_bits()).collect();
+                proptest::prop_assert_eq!(got, want, "counts of item {}", i);
+                proptest::prop_assert_eq!(batched[i].class, out.counts.argmax_row(0));
+                let want_spikes: Vec<u64> = solo
+                    .layers()
+                    .iter()
+                    .filter(|l| l.lif_config().is_some())
+                    .map(|l| l.activity().total_spikes.to_bits())
+                    .collect();
+                let got_spikes: Vec<u64> =
+                    batched[i].layers.iter().map(|l| l.spikes.to_bits()).collect();
+                proptest::prop_assert_eq!(got_spikes, want_spikes, "layer spikes of item {}", i);
             }
         }
     }

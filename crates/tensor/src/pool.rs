@@ -70,20 +70,28 @@ pub struct PoolForward {
     /// Pooled output `[N, C, out_h, out_w]`.
     pub output: Tensor,
     /// For every output element, the linear index into the input
-    /// tensor of the element that won the max.
+    /// tensor of the element that won the max. Empty unless the
+    /// forward pass was asked to record it.
     pub argmax: Vec<u32>,
 }
 
 /// Max-pools a `[N, C, H, W]` batch.
 ///
 /// Ties are broken toward the first (row-major earliest) element of
-/// the window, matching the usual framework behaviour.
+/// the window, matching the usual framework behaviour. With
+/// `record_argmax` the winners' input offsets are kept for
+/// [`maxpool2d_backward`]; inference passes `false` and skips that
+/// buffer.
 ///
 /// # Errors
 ///
 /// Returns a [`TensorError`] if the input shape disagrees with the
 /// geometry.
-pub fn maxpool2d_forward(g: &Pool2dGeometry, input: &Tensor) -> Result<PoolForward> {
+pub fn maxpool2d_forward(
+    g: &Pool2dGeometry,
+    input: &Tensor,
+    record_argmax: bool,
+) -> Result<PoolForward> {
     if input.shape().rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -99,7 +107,7 @@ pub fn maxpool2d_forward(g: &Pool2dGeometry, input: &Tensor) -> Result<PoolForwa
     let _span = snn_obs::span!("maxpool");
     let (oh, ow) = (g.out_h(), g.out_w());
     let mut output = Tensor::zeros(Shape::d4(n, g.channels, oh, ow));
-    let mut argmax = vec![0u32; output.len()];
+    let mut argmax = if record_argmax { vec![0u32; output.len()] } else { Vec::new() };
     let item_out = g.channels * oh * ow;
     if n == 0 || item_out == 0 {
         return Ok(PoolForward { output, argmax });
@@ -107,11 +115,13 @@ pub fn maxpool2d_forward(g: &Pool2dGeometry, input: &Tensor) -> Result<PoolForwa
     let iv = input.as_slice();
     let ov = output.as_mut_slice();
     let min_items = par::min_granules_for(item_out * g.kernel * g.kernel);
+    // A zero granule hands every worker an empty argmax block.
+    let argmax_granule = if record_argmax { item_out } else { 0 };
     par::for_each_block2(
         ov,
         item_out,
         &mut argmax,
-        item_out,
+        argmax_granule,
         min_items,
         |item0, ovblock, amblock| {
             let mut oidx = 0usize;
@@ -136,7 +146,9 @@ pub fn maxpool2d_forward(g: &Pool2dGeometry, input: &Tensor) -> Result<PoolForwa
                                 }
                             }
                             ovblock[oidx] = best;
-                            amblock[oidx] = best_off as u32;
+                            if record_argmax {
+                                amblock[oidx] = best_off as u32;
+                            }
                             oidx += 1;
                         }
                     }
@@ -222,9 +234,12 @@ mod tests {
             vec![1., 5., 2., 0., 3., 4., 8., 7.],
         )
         .unwrap();
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         assert_eq!(f.output.as_slice(), &[5.0, 8.0]);
         assert_eq!(f.argmax, vec![1, 6]);
+        let plain = maxpool2d_forward(&g, &x, false).unwrap();
+        assert_eq!(plain.output, f.output);
+        assert!(plain.argmax.is_empty());
     }
 
     #[test]
@@ -235,7 +250,7 @@ mod tests {
             vec![1., 5., 2., 0., 3., 4., 8., 7.],
         )
         .unwrap();
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         let dy = Tensor::from_vec(Shape::d4(1, 1, 1, 2), vec![10.0, 20.0]).unwrap();
         let dx = maxpool2d_backward(&g, 1, &f.argmax, &dy).unwrap();
         assert_eq!(dx.as_slice(), &[0., 10., 0., 0., 0., 0., 20., 0.]);
@@ -245,7 +260,7 @@ mod tests {
     fn tie_breaks_to_first() {
         let g = Pool2dGeometry::new(1, 2, 2, 2, 2).unwrap();
         let x = Tensor::from_vec(Shape::d4(1, 1, 2, 2), vec![3., 3., 3., 3.]).unwrap();
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         assert_eq!(f.argmax, vec![0]);
     }
 
@@ -255,7 +270,7 @@ mod tests {
         // the window) — the property that makes MaxPool SNN-friendly.
         let g = Pool2dGeometry::new(1, 2, 2, 4, 4).unwrap();
         let x = Tensor::from_fn(Shape::d4(1, 1, 4, 4), |i| if i % 3 == 0 { 1.0 } else { 0.0 });
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         for &v in f.output.as_slice() {
             assert!(v == 0.0 || v == 1.0);
         }
@@ -265,11 +280,11 @@ mod tests {
     fn numeric_gradient_check() {
         let g = Pool2dGeometry::new(2, 2, 2, 4, 4).unwrap();
         let mut x = Tensor::from_fn(Shape::d4(1, 2, 4, 4), |i| ((i * 13 % 17) as f32) * 0.1);
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         let dy = Tensor::from_fn(f.output.shape(), |i| 1.0 + i as f32 * 0.01);
         let dx = maxpool2d_backward(&g, 1, &f.argmax, &dy).unwrap();
         let loss = |x: &Tensor| -> f64 {
-            let f = maxpool2d_forward(&g, x).unwrap();
+            let f = maxpool2d_forward(&g, x, true).unwrap();
             f.output
                 .as_slice()
                 .iter()
@@ -300,7 +315,7 @@ mod tests {
     fn rejects_bad_shapes() {
         let g = Pool2dGeometry::new(2, 2, 2, 4, 4).unwrap();
         let x = Tensor::zeros(Shape::d4(1, 3, 4, 4));
-        assert!(maxpool2d_forward(&g, &x).is_err());
+        assert!(maxpool2d_forward(&g, &x, true).is_err());
         let dy = Tensor::zeros(Shape::d1(3));
         assert!(maxpool2d_backward(&g, 1, &[0, 1], &dy).is_err());
     }

@@ -110,6 +110,18 @@ impl Tensor {
         data
     }
 
+    /// True when `self` and `other` share one storage buffer and have
+    /// the same shape.
+    ///
+    /// Storage is copy-on-write, so shared storage implies identical
+    /// contents: any mutation through either tensor detaches a copy
+    /// first. A caller that keeps a clone to compare against later
+    /// also keeps the buffer alive, so its address cannot be reused
+    /// by an unrelated tensor.
+    pub fn same_storage(&self, other: &Tensor) -> bool {
+        self.shape == other.shape && Arc::ptr_eq(&self.data, &other.data)
+    }
+
     /// Consumes the tensor, returning its raw storage (copying only
     /// if the storage is shared).
     pub fn into_vec(self) -> Vec<f32> {
@@ -450,6 +462,17 @@ mod tests {
         assert_eq!(t.at2(0, 0), 1.0);
         assert_eq!(t.at2(1, 2), 6.0);
         assert_eq!(t.len(), 6);
+    }
+
+    #[test]
+    fn same_storage_tracks_clones_until_mutation() {
+        let a = Tensor::ones(Shape::d2(2, 3));
+        let mut b = a.clone();
+        assert!(a.same_storage(&b));
+        assert!(!a.same_storage(&a.reshape(Shape::d1(6)).unwrap()));
+        assert!(!a.same_storage(&Tensor::ones(Shape::d2(2, 3))));
+        b.as_mut_slice()[0] = 2.0;
+        assert!(!a.same_storage(&b), "a write detaches the copy");
     }
 
     #[test]

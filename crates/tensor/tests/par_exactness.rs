@@ -188,7 +188,7 @@ proptest! {
     ) {
         let g = Pool2dGeometry::new(c, 2, 2, hw, hw).unwrap();
         let x = lcg_tensor(Shape::d4(batch, c, hw, hw), seed, 1.0);
-        let fwd_ref = par::with_num_threads(1, || maxpool2d_forward(&g, &x).unwrap());
+        let fwd_ref = par::with_num_threads(1, || maxpool2d_forward(&g, &x, true).unwrap());
         let dy = lcg_tensor(fwd_ref.output.shape(), seed + 1, 1.0);
         let bwd_ref = par::with_num_threads(1, || {
             maxpool2d_backward(&g, batch, &fwd_ref.argmax, &dy).unwrap()
@@ -196,12 +196,14 @@ proptest! {
         let (wo, wb) = (bits(&fwd_ref.output), bits(&bwd_ref));
         for t in &THREAD_COUNTS[1..] {
             let (fwd, bwd) = par::with_num_threads(*t, || {
-                let f = maxpool2d_forward(&g, &x).unwrap();
+                let f = maxpool2d_forward(&g, &x, true).unwrap();
                 let b = maxpool2d_backward(&g, batch, &f.argmax, &dy).unwrap();
                 (f, b)
             });
             prop_assert_eq!(&fwd.argmax, &fwd_ref.argmax, "argmax threads={}", t);
             prop_assert_eq!(&bits(&fwd.output), &wo, "pool fwd threads={}", t);
+            let plain = par::with_num_threads(*t, || maxpool2d_forward(&g, &x, false).unwrap());
+            prop_assert_eq!(&bits(&plain.output), &wo, "argmax-free pool fwd threads={}", t);
             prop_assert_eq!(&bits(&bwd), &wb, "pool bwd threads={}", t);
         }
     }

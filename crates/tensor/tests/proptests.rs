@@ -114,7 +114,7 @@ proptest! {
     fn pool_binary_and_contractive(c in 1usize..3, hw in 4usize..9, seed in 0u64..500) {
         let g = Pool2dGeometry::new(c, 2, 2, hw, hw).unwrap();
         let x = lcg_tensor(Shape::d4(1, c, hw, hw), seed, 1.0).map(|v| f32::from(v > 0.0));
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         for &v in f.output.as_slice() {
             prop_assert!(v == 0.0 || v == 1.0);
         }
@@ -126,7 +126,7 @@ proptest! {
     fn pool_backward_conserves_mass(c in 1usize..3, hw in 4usize..9, seed in 0u64..500) {
         let g = Pool2dGeometry::new(c, 2, 2, hw, hw).unwrap();
         let x = lcg_tensor(Shape::d4(1, c, hw, hw), seed, 1.0);
-        let f = maxpool2d_forward(&g, &x).unwrap();
+        let f = maxpool2d_forward(&g, &x, true).unwrap();
         let dy = lcg_tensor(f.output.shape(), seed + 1, 1.0);
         let dx = maxpool2d_backward(&g, 1, &f.argmax, &dy).unwrap();
         prop_assert!((dx.sum() - dy.sum()).abs() < 1e-3);

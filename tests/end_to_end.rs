@@ -1,33 +1,48 @@
 //! Cross-crate integration: the full train → evaluate → profile →
 //! map pipeline on the synthetic SVHN task.
 
+use std::sync::OnceLock;
+
 use snn_accel::AcceleratorConfig;
-use snn_core::{evaluate, fit, NetworkSnapshot, SpikingNetwork, Surrogate};
+use snn_core::{evaluate, fit, EvalReport, NetworkSnapshot, SpikingNetwork, Surrogate};
 use snn_dse::ExperimentProfile;
 use snn_tensor::derive_seed;
 
 /// Shared fixture: a trained quick-profile model with its eval
-/// report. Training once keeps the integration suite fast.
-fn trained() -> (SpikingNetwork, snn_core::EvalReport, ExperimentProfile) {
-    let profile = ExperimentProfile::quick();
-    let (train, test) = profile.datasets();
-    let lif = profile.lif(Surrogate::FastSigmoid { k: 0.25 }, 0.25, 1.0);
-    let mut net = SpikingNetwork::paper_topology(
-        profile.input_shape(),
-        train.classes(),
-        lif,
-        derive_seed(profile.seed, "weights"),
-    )
-    .expect("paper topology builds on quick profile");
-    let cfg = profile.train_config();
-    fit(&cfg, &mut net, &train).expect("training succeeds");
-    let eval = evaluate(&mut net, &test, cfg.encoding, profile.timesteps, profile.batch_size, 0);
-    (net, eval, profile)
+/// report, trained once per test binary (training dominates this
+/// file's run time). The snapshot round trip is bitwise, so a test
+/// that needs the network rebuilds the exact trained one from the
+/// snapshot.
+fn trained() -> &'static (NetworkSnapshot, EvalReport) {
+    static TRAINED: OnceLock<(NetworkSnapshot, EvalReport)> = OnceLock::new();
+    TRAINED.get_or_init(|| {
+        let profile = ExperimentProfile::quick();
+        let (train, test) = profile.datasets();
+        let lif = profile.lif(Surrogate::FastSigmoid { k: 0.25 }, 0.25, 1.0);
+        let mut net = SpikingNetwork::paper_topology(
+            profile.input_shape(),
+            train.classes(),
+            lif,
+            derive_seed(profile.seed, "weights"),
+        )
+        .expect("paper topology builds on quick profile");
+        let cfg = profile.train_config();
+        fit(&cfg, &mut net, &train).expect("training succeeds");
+        let eval = evaluate(
+            &mut net,
+            &test,
+            cfg.encoding,
+            profile.timesteps,
+            profile.batch_size,
+            0,
+        );
+        (NetworkSnapshot::from_network(&net), eval)
+    })
 }
 
 #[test]
 fn pipeline_learns_above_chance_and_maps() {
-    let (net, eval, _) = trained();
+    let (snapshot, eval) = trained();
     // 10 balanced classes → chance 10%. The quick profile must beat
     // it clearly for sweep results to mean anything.
     assert!(
@@ -38,12 +53,11 @@ fn pipeline_learns_above_chance_and_maps() {
     assert!(eval.profile.mean_firing_rate() > 0.0);
     assert!(eval.profile.mean_firing_rate() < 0.9);
 
-    let snapshot = NetworkSnapshot::from_network(&net);
     let aware = AcceleratorConfig::sparsity_aware()
-        .map(&snapshot, &eval.profile)
+        .map(snapshot, &eval.profile)
         .expect("model fits the Kintex-class device");
     let dense = AcceleratorConfig::dense_baseline()
-        .map(&snapshot, &eval.profile)
+        .map(snapshot, &eval.profile)
         .expect("model fits the Kintex-class device");
 
     // The central hardware premise: event-driven execution of a
@@ -60,9 +74,9 @@ fn pipeline_learns_above_chance_and_maps() {
 
 #[test]
 fn snapshot_roundtrip_preserves_eval() {
-    let (net, eval, profile) = trained();
-    let snapshot = NetworkSnapshot::from_network(&net);
-    let json = serde_json::to_string(&snapshot).expect("snapshot serializes");
+    let (snapshot, eval) = trained();
+    let profile = ExperimentProfile::quick();
+    let json = serde_json::to_string(snapshot).expect("snapshot serializes");
     let restored: NetworkSnapshot = serde_json::from_str(&json).expect("snapshot parses");
     let mut net2 = restored.into_network();
     let (_, test) = profile.datasets();
@@ -80,10 +94,9 @@ fn snapshot_roundtrip_preserves_eval() {
 
 #[test]
 fn sparsity_profile_feeds_workload_consistently() {
-    let (net, eval, _) = trained();
-    let snapshot = NetworkSnapshot::from_network(&net);
+    let (snapshot, eval) = trained();
     let report = AcceleratorConfig::sparsity_aware()
-        .map(&snapshot, &eval.profile)
+        .map(snapshot, &eval.profile)
         .expect("mapping succeeds");
     // Stage firing in the workload equals the measured profile.
     for stage in &report.workload.stages {
