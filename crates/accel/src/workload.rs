@@ -252,11 +252,6 @@ impl ModelWorkload {
         self.stages.iter().map(StageWorkload::event_macs).sum()
     }
 
-    /// Total dense MACs per timestep across stages.
-    pub fn total_dense_macs(&self) -> u64 {
-        self.stages.iter().map(|s| s.dense_macs).sum()
-    }
-
     /// Total on-chip memory demand in bytes (weights + potentials).
     pub fn total_memory_bytes(&self) -> u64 {
         self.stages.iter().map(|s| s.weight_bytes + s.potential_bytes).sum()

@@ -1,5 +1,5 @@
-//! Shared helpers for the figure-regeneration binaries and criterion
-//! benches.
+//! Shared helpers for the figure-regeneration binaries and benchmark
+//! harnesses.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -46,11 +46,6 @@ impl SparsityProfile {
         }
     }
 
-    /// Mean sparsity (`1 −` mean firing rate).
-    pub fn mean_sparsity(&self) -> f64 {
-        1.0 - self.mean_firing_rate()
-    }
-
     /// Looks up a layer's activity by name.
     pub fn layer(&self, name: &str) -> Option<&LayerActivity> {
         self.layers.iter().find(|l| l.name == name)

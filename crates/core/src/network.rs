@@ -331,11 +331,7 @@ impl SpikingNetwork {
     /// Processes one timestep, returning output-layer spikes
     /// `[N, classes]`.
     pub fn forward_step(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for l in &mut self.layers {
-            x = l.forward_step(&x);
-        }
-        x
+        self.forward_step_observed(input, |_, _, _| {})
     }
 
     /// Like [`SpikingNetwork::forward_step`], but calls `observer`
@@ -374,17 +370,8 @@ impl SpikingNetwork {
     ///
     /// Panics if `frames` is empty.
     pub fn run_sequence(&mut self, frames: &[Tensor], train: bool) -> SequenceOutput {
-        assert!(!frames.is_empty(), "run_sequence requires at least one frame");
         let _span = snn_obs::span!("forward_seq");
-        self.begin_sequence(train);
-        let batch = frames[0].shape().dim(0);
-        let mut counts = Tensor::zeros(Shape::d2(batch, self.classes));
-        for f in frames {
-            let s = self.forward_step(f);
-            counts.add_assign(&s).expect("output shape invariant");
-        }
-        self.end_sequence();
-        SequenceOutput { counts, timesteps: frames.len() }
+        self.sequence(frames, train, |_, _, _| {})
     }
 
     /// Forward-only run of a whole sequence: no BPTT activation
@@ -409,19 +396,33 @@ impl SpikingNetwork {
     pub fn run_inference_observed(
         &mut self,
         frames: &[Tensor],
+        observer: impl FnMut(usize, &str, &Tensor),
+    ) -> SequenceOutput {
+        self.sequence(frames, false, observer)
+    }
+
+    /// The sequence loop behind `run_sequence` and
+    /// `run_inference_observed`: begins the sequence, steps every
+    /// frame (calling `observer` after each layer with `(layer_index,
+    /// layer_name, output)`), sums the output spikes and ends the
+    /// sequence.
+    fn sequence(
+        &mut self,
+        frames: &[Tensor],
+        train: bool,
         mut observer: impl FnMut(usize, &str, &Tensor),
     ) -> SequenceOutput {
-        assert!(!frames.is_empty(), "run_inference_observed requires at least one frame");
-        self.begin_sequence(false);
+        assert!(!frames.is_empty(), "a sequence requires at least one frame");
+        self.begin_sequence(train);
         let batch = frames[0].shape().dim(0);
         let mut counts = Tensor::zeros(Shape::d2(batch, self.classes));
         for f in frames {
-            let mut x = f.clone();
-            for (i, l) in self.layers.iter_mut().enumerate() {
-                x = l.forward_step(&x);
-                observer(i, l.name(), &x);
-            }
-            counts.add_assign(&x).expect("output shape invariant");
+            let mut li = 0;
+            let s = self.forward_step_observed(f, |name, _, y| {
+                observer(li, name, y);
+                li += 1;
+            });
+            counts.add_assign(&s).expect("output shape invariant");
         }
         self.end_sequence();
         SequenceOutput { counts, timesteps: frames.len() }

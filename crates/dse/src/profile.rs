@@ -46,7 +46,7 @@ pub struct ExperimentProfile {
 }
 
 impl ExperimentProfile {
-    /// Micro profile for criterion benchmarks: each sweep point
+    /// Micro profile for smoke runs and tests: each sweep point
     /// trains in tens of milliseconds. Too small for meaningful
     /// accuracy — use it only to measure harness throughput.
     pub fn micro() -> Self {

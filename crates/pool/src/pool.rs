@@ -2,7 +2,7 @@
 //! behind a power-of-two-choices router.
 //!
 //! Each replica is a full serve-side worker — its own bounded
-//! micro-batch queue, its own `AnyEngine` built from the shared
+//! micro-batch queue, its own `InferenceEngine` built from the shared
 //! [`ModelRegistry`], and its own circuit breaker — so one wedged or
 //! panicking replica sheds its load onto the others instead of taking
 //! the whole server down. All replicas poll the *same* registry

@@ -106,11 +106,6 @@ impl QuantStage {
             | QuantStage::Flatten { name, .. } => name,
         }
     }
-
-    /// Whether the stage holds neurons (conv/dense).
-    pub fn is_spiking(&self) -> bool {
-        matches!(self, QuantStage::Conv { .. } | QuantStage::Dense { .. })
-    }
 }
 
 /// A complete quantized network artifact.

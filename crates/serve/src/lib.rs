@@ -9,13 +9,11 @@
 //! The layers, composed bottom-up:
 //!
 //! * [`engine`] — [`InferenceEngine`]: forward-only execution of a
-//!   snapshot. No BPTT caches, per-engine scratch reuse, and
-//!   per-request spike counters so every response reports its own
-//!   sparsity.
-//! * [`qengine`] — [`QuantEngine`] and [`AnyEngine`]: the INT8
-//!   integer twin of the f32 engine plus the dtype dispatcher. The
-//!   registry decides which engine serves by artifact dtype; every
-//!   `/infer` response names the engine that answered.
+//!   served model, an f32 snapshot or an INT8 artifact. No BPTT
+//!   caches, per-engine scratch reuse, and per-request spike counters
+//!   so every response reports its own sparsity. The registry's
+//!   artifact dtype decides which network the engine runs; every
+//!   `/infer` response names the dtype that answered.
 //! * [`queue`] — [`Batcher`]: a dynamic micro-batching queue.
 //!   Requests accumulate up to `max_batch` or `max_wait` and run as
 //!   one batched forward pass (on a single-core host the throughput
@@ -87,13 +85,12 @@ pub mod breaker;
 pub mod engine;
 pub mod http;
 pub mod metrics;
-pub mod qengine;
 pub mod queue;
 pub mod registry;
 
 pub use admission::{AdmissionConfig, AimdController, Brownout};
 pub use breaker::{CircuitBreaker, CircuitState};
-pub use engine::{InferenceEngine, LayerFiring, RequestOutput};
+pub use engine::{AnyEngine, InferenceEngine, LayerFiring, RequestOutput};
 pub use http::{
     apply_reload, content_type_error, error_body, find_head_end, format_response, healthz_body,
     infer_success_body, parse_head, parse_infer_body, rejection_status, trace_get_response,
@@ -101,6 +98,5 @@ pub use http::{
     MAX_HEAD,
 };
 pub use metrics::Metrics;
-pub use qengine::{AnyEngine, QuantEngine};
 pub use queue::{Batcher, BatcherConfig, InferReply, Rejection, Ticket};
 pub use registry::{ModelInfo, ModelRegistry, QuantInfo, ServedModel, SwapError, SwapReceipt};

@@ -33,9 +33,8 @@ use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionConfig, AimdController};
 use crate::breaker::{CircuitBreaker, CircuitState};
-use crate::engine::RequestOutput;
+use crate::engine::{InferenceEngine, RequestOutput};
 use crate::metrics::Metrics;
-use crate::qengine::AnyEngine;
 use crate::registry::ModelRegistry;
 use snn_core::SnapshotError;
 use snn_obs::TraceContext;
@@ -255,7 +254,7 @@ impl Batcher {
         metrics: Arc<Metrics>,
     ) -> Result<Self, SnapshotError> {
         let engine_version = registry.version();
-        let engine = AnyEngine::new(&registry.current().model, cfg.timesteps)?;
+        let engine = InferenceEngine::new(&registry.current().model, cfg.timesteps)?;
         let input_len = engine.input_len();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
@@ -444,7 +443,7 @@ fn run_worker(
     metrics: Arc<Metrics>,
     breaker: Arc<CircuitBreaker>,
     admission: Arc<AimdController>,
-    engine: AnyEngine,
+    engine: InferenceEngine,
     mut engine_version: u64,
 ) {
     // `None` after a caught panic: the engine's scratch state may be
@@ -548,7 +547,10 @@ fn run_worker(
         // rebuild or inference (including an injected
         // `panic@serve.worker` fault) must cost one batch, not the
         // worker thread — a dead worker would hang every future ticket.
-        let inputs: Vec<Vec<f32>> = batch.iter().map(|j| j.input.clone()).collect();
+        // The inputs move out of the jobs: afterwards a job needs only
+        // its reply channel, enqueue time and trace context.
+        let inputs: Vec<Vec<f32>> =
+            batch.iter_mut().map(|j| std::mem::take(&mut j.input)).collect();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             snn_fault::inject_panic("serve.worker");
 
@@ -580,7 +582,7 @@ fn run_worker(
                     registry.current()
                 };
                 engine = Some(
-                    AnyEngine::new(&loaded.model, cfg.timesteps)
+                    InferenceEngine::new(&loaded.model, cfg.timesteps)
                         .expect("registry admits only validated models"),
                 );
                 snn_obs::log_info!(
@@ -670,7 +672,6 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::InferenceEngine;
     use snn_core::{LifConfig, NetworkSnapshot, SpikingNetwork};
     use snn_tensor::Shape;
 

@@ -63,6 +63,12 @@ impl From<QuantizedSnapshot> for ServedModel {
     }
 }
 
+impl From<&ServedModel> for ServedModel {
+    fn from(m: &ServedModel) -> Self {
+        m.clone()
+    }
+}
+
 /// Maps a quantized artifact's typed error into the registry's
 /// [`SnapshotError`] vocabulary so [`SwapError`] stays uniform across
 /// dtypes: per-stage faults become layer errors, composition faults

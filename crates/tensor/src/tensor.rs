@@ -122,12 +122,6 @@ impl Tensor {
         self.shape == other.shape && Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// Consumes the tensor, returning its raw storage (copying only
-    /// if the storage is shared).
-    pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Value at a rank-2 index.
     #[inline]
     pub fn at2(&self, i: usize, j: usize) -> f32 {
@@ -138,13 +132,6 @@ impl Tensor {
     #[inline]
     pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
         self.data[self.shape.offset4(n, c, h, w)]
-    }
-
-    /// Sets the value at a rank-2 index.
-    #[inline]
-    pub fn set2(&mut self, i: usize, j: usize, v: f32) {
-        let off = self.shape.offset2(i, j);
-        Arc::make_mut(&mut self.data)[off] = v;
     }
 
     /// Sets the value at a rank-4 index.
@@ -168,31 +155,9 @@ impl Tensor {
         Ok(Tensor { shape, data: self.data.clone() })
     }
 
-    /// In-place variant of [`Tensor::reshape`] that avoids cloning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ReshapeCount`] if the element counts
-    /// differ.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<()> {
-        let shape = shape.into();
-        if shape.len() != self.len() {
-            return Err(TensorError::ReshapeCount { from: self.len(), to: shape.len() });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { shape: self.shape, data: Arc::new(self.data.iter().map(|&x| f(x)).collect()) }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.as_mut_slice() {
-            *x = f(*x);
-        }
     }
 
     /// Combines two same-shaped tensors elementwise.

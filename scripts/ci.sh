@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, and a
-# zero-warning clippy pass over every target (benches and vendored
-# stand-ins included).
+# Tier-1 verification gate: release build, full test suite, the
+# benchmark's own build and self-test, and a zero-warning clippy
+# pass over every target (vendored stand-ins included).
 #
 # The workspace is fully hermetic — all external crates are vendored
 # under vendor/ — so everything here runs with --offline.
@@ -29,6 +29,10 @@ cargo test -q --offline
 cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-quant -p snn-accel
 cargo test -q --offline -p snn-tensor --test qmat_exactness
 cargo test -q --offline -p snn-tensor --test event_exactness
+# The benchmark (`perfbench/`, its own cargo workspace) links the
+# serving crates by path: build it and run its self-test so an API
+# change that breaks the benchmark fails here.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Serve smoke test: boot the model server (the epoll front end with
