@@ -32,6 +32,19 @@ fn round_shift(wide: i64, shift: u32) -> i64 {
     (mag ^ sign) - sign
 }
 
+/// `a + b` with wrapping; adds to `wraps` the direction the true sum
+/// left the `i32` range in (+1 above, −1 below, 0 if it stayed).
+///
+/// Overflow happens iff `a` and `b` share a sign the wrapped sum
+/// lacks, and then it goes the way of `b`'s sign.
+#[inline(always)]
+fn wrapping_add_counted(a: i32, b: i32, wraps: &mut i32) -> i32 {
+    let sum = a.wrapping_add(b);
+    let overflowed = ((a ^ sum) & (b ^ sum)) >> 31;
+    *wraps += overflowed & (1 | (b >> 31));
+    sum
+}
+
 /// A positive real factor `r` encoded as `mult / 2^shift`, applied to
 /// `i32` accumulators with rounding and a single saturating cast.
 ///
@@ -94,6 +107,26 @@ impl Rescale {
         // values; plain `+ half` would bias negatives toward +inf by
         // one ulp.
         saturate_i32(round_shift(acc as i64 * self.mult as i64, self.shift))
+    }
+
+    /// [`Rescale::apply`] over a row, in place.
+    ///
+    /// Equal to `apply` element by element for every `Rescale` that
+    /// passes [`Rescale::validate`], but in the shape the
+    /// autovectorizer takes: the magnitude `|acc|·mult + half` is
+    /// rounded in `u64` (a 32×32→64 multiply, below `2^63`), saturated
+    /// to `2^31 − 1` (or `2^31` for a negative `acc`) by one test of
+    /// its bits above 31, and the sign is put back with a mask.
+    pub fn apply_row(&self, row: &mut [i32]) {
+        let (mult, shift) = (self.mult as u32 as u64, self.shift);
+        let half = (1u64 << shift) >> 1;
+        for a in row {
+            let sign = *a >> 31;
+            let wide = (a.unsigned_abs() as u64 * mult + half) >> shift;
+            let limit = i32::MAX as u32 + (sign & 1) as u32;
+            let mag = if wide >> 31 == 0 { wide as u32 } else { limit };
+            *a = (mag as i32 ^ sign).wrapping_sub(sign);
+        }
     }
 
     /// The real factor this encodes (for diagnostics and tests).
@@ -188,33 +221,89 @@ impl FixedLif {
     /// One membrane update: previous potential, previous output
     /// spike, and the Q`frac_bits` input current (already including
     /// any bias). Returns `(new_potential, spike)`.
+    ///
+    /// This is the specification that [`FixedLif::step_row`] computes
+    /// a row at a time.
     pub fn step(&self, m_prev: i32, spiked_prev: bool, current_q: i64) -> (i32, bool) {
-        match self.reset {
-            ResetMode::Subtract => self.step_as::<false>(m_prev, spiked_prev, current_q),
-            ResetMode::Zero => self.step_as::<true>(m_prev, spiked_prev, current_q),
+        let leaked = self.leak(m_prev) as i64;
+        let u = saturate_i32(match (self.reset, spiked_prev) {
+            (_, false) => leaked + current_q,
+            (ResetMode::Subtract, true) => leaked + current_q - self.theta_q as i64,
+            (ResetMode::Zero, true) => current_q,
+        });
+        (u, u > self.theta_q)
+    }
+
+    /// [`FixedLif::step`] over a row of neurons: neuron `i` takes
+    /// `current[i] + bias` as its current, steps `mem[i]`, and reads
+    /// its previous spike from `spikes[i]` (0 or 1) before writing the
+    /// new one there. `bias` holds one value shared by the row, or one
+    /// per neuron.
+    ///
+    /// Equal to `step` element by element for every artifact that
+    /// passes [`FixedLif::validate`], but branch-free and in `i32`
+    /// lanes, so the loop vectorizes:
+    ///
+    /// * the leak rounds `|m|·beta_mult + half` in `u64` and puts the
+    ///   sign back with a mask. With `beta_mult <= 2^beta_shift` its
+    ///   magnitude never exceeds `|m|`, so it fits `i32` and `leak`'s
+    ///   saturation never acts;
+    /// * the previous spike enters as a 0/1 integer: its negation is a
+    ///   mask that clears the leaked membrane (zero reset) or selects
+    ///   `theta_q` to take off (subtract reset);
+    /// * `step` sums four `i32` terms in `i64` and clamps once. Here
+    ///   they are added with wrapping and each add's overflow is
+    ///   counted (+1 up, −1 down): the wrapped sum is exact when the
+    ///   count is 0, and saturates toward its sign otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `current`, `mem` and `spikes` differ in length, or
+    /// `bias` is neither one value nor one per neuron.
+    pub fn step_row(&self, current: &[i32], bias: &[i32], mem: &mut [i32], spikes: &mut [u8]) {
+        assert!(current.len() == mem.len() && spikes.len() == mem.len(), "LIF row lengths");
+        match *bias {
+            [shared] => self.step_lanes(current, std::iter::repeat(shared), mem, spikes),
+            _ => {
+                assert_eq!(bias.len(), mem.len(), "LIF row bias length");
+                self.step_lanes(current, bias.iter().copied(), mem, spikes);
+            }
         }
     }
 
-    /// [`FixedLif::step`] with the reset mode fixed at compile time
-    /// (`ZERO_RESET` selects [`ResetMode::Zero`]) and `self.reset`
-    /// ignored, so a loop over many neurons can resolve the mode once
-    /// outside the loop.
+    /// The loop of [`FixedLif::step_row`], for either bias layout.
     #[inline(always)]
-    pub(crate) fn step_as<const ZERO_RESET: bool>(
+    fn step_lanes(
         &self,
-        m_prev: i32,
-        spiked_prev: bool,
-        current_q: i64,
-    ) -> (i32, bool) {
-        let decayed = if ZERO_RESET {
-            let kept = if spiked_prev { 0 } else { self.leak(m_prev) as i64 };
-            kept + current_q
-        } else {
-            let reset = if spiked_prev { self.theta_q as i64 } else { 0 };
-            self.leak(m_prev) as i64 + current_q - reset
+        current: &[i32],
+        bias: impl Iterator<Item = i32>,
+        mem: &mut [i32],
+        spikes: &mut [u8],
+    ) {
+        // `validate` keeps beta_mult in [0, 2^30]: through u32 the
+        // product is a single 32×32→64 multiply.
+        let (beta_mult, shift) = (self.beta_mult as u32 as u64, self.beta_shift);
+        let half = (1u64 << shift) >> 1;
+        // What a previous spike does under each reset mode: clear the
+        // leaked membrane (an all-ones mask), or subtract theta.
+        let (clear, subtract) = match self.reset {
+            ResetMode::Subtract => (0, self.theta_q),
+            ResetMode::Zero => (-1, 0),
         };
-        let u = saturate_i32(decayed);
-        (u, u > self.theta_q)
+        let lanes = mem.iter_mut().zip(spikes.iter_mut()).zip(current.iter().zip(bias));
+        for ((m, s), (&c, b)) in lanes {
+            let sign = *m >> 31;
+            let mag = ((m.unsigned_abs() as u64 * beta_mult + half) >> shift) as u32 as i32;
+            let leaked = (mag ^ sign).wrapping_sub(sign);
+            let prev = (*s != 0) as i32;
+            let mut wraps = 0;
+            let u = wrapping_add_counted(leaked & !(clear & -prev), c, &mut wraps);
+            let u = wrapping_add_counted(u, b, &mut wraps);
+            let u = wrapping_add_counted(u, -(subtract & -prev), &mut wraps);
+            let u = if wraps == 0 { u } else { (wraps >> 31) ^ i32::MAX };
+            *m = u;
+            *s = (u > self.theta_q) as u8;
+        }
     }
 
     /// Validation for untrusted artifacts.

@@ -18,21 +18,26 @@
 //! input; none in the paper topology) therefore produces the same
 //! output at every step, and the first spiking stage (conv1) the same
 //! i32 accumulators. Those run once, at `t = 0`, and stay in their
-//! buffers; only that stage's rescale + LIF pass, which depends on the
-//! membrane state, runs per timestep. Every later stage reads spikes
-//! that change with time and runs in full every step. The reuse is
-//! exact, not an approximation: the skipped work would recompute the
-//! same integers from the same inputs.
+//! buffers. So does the first spiking stage's requantize: at `t = 0`
+//! its accumulators are rescaled in place, and from `t = 1` on only
+//! the bias add and the LIF step, which depend on the membrane state,
+//! run for it. Every later stage reads spikes that change with time
+//! and runs in full every step (accumulate, requantize in place,
+//! LIF). The reuse is exact, not an approximation: the skipped work
+//! would recompute the same integers from the same inputs.
 //!
-//! The rescale + LIF pass walks one `[item, channel]` row at a time,
-//! loading that channel's rescale and bias once per row and resolving
-//! the reset mode before any loop, so the per-neuron work is the
-//! requantize and the membrane step alone.
+//! The requantize and LIF passes walk whole rows: one channel plane of
+//! one item for a conv stage (its rescale and bias loaded once per
+//! row), one item for a dense stage (one pair per neuron). Both are
+//! row kernels shaped for the autovectorizer: [`Rescale::apply_row`]
+//! and [`FixedLif::step_row`], whose branch-free LIF takes the
+//! previous spike and the reset mode as integer masks. Max pooling is
+//! [`snn_tensor::pool::maxpool_into`], the window loop the f32 network
+//! uses too.
 
-use snn_core::ResetMode;
 use snn_tensor::conv::Conv2dGeometry;
 use snn_tensor::par;
-use snn_tensor::pool::Pool2dGeometry;
+use snn_tensor::pool::{maxpool_into, Pool2dGeometry};
 use snn_tensor::qmat::{qconv2d_forward_routed, qlinear_into, transpose_i8, QConvScratch};
 
 use crate::error::QuantError;
@@ -54,31 +59,105 @@ pub struct StageMeta {
 /// One executable stage: quantized parameters plus reusable batch
 /// state.
 enum RunStage {
-    Conv {
-        geom: Conv2dGeometry,
-        w: Vec<i8>,
-        wt: Vec<i8>,
-        bias_q: Vec<i32>,
-        rescale: Vec<Rescale>,
-        lif: FixedLif,
-        scratch: QConvScratch,
-        acc: Vec<i32>,
-        mem: Vec<i32>,
-    },
-    Dense {
-        wt: Vec<i8>,
-        in_len: usize,
-        out_n: usize,
-        bias_q: Vec<i32>,
-        rescale: Vec<Rescale>,
-        lif: FixedLif,
-        acc: Vec<i32>,
-        mem: Vec<i32>,
-    },
-    Pool {
-        geom: Pool2dGeometry,
-    },
+    Spiking(Box<Synapses>, Neurons),
+    Pool { geom: Pool2dGeometry },
     Flatten,
+}
+
+/// The integer multiply-accumulate of a spiking stage.
+enum Synapses {
+    Conv { geom: Conv2dGeometry, w: Vec<i8>, wt: Vec<i8>, scratch: QConvScratch },
+    Dense { wt: Vec<i8>, in_len: usize, out_n: usize },
+}
+
+impl Synapses {
+    /// Overwrites every accumulator in `acc` (`[n, item_len]`) with
+    /// the raw i32 sums over `x`.
+    fn accumulate(&mut self, x: &[u8], n: usize, acc: &mut [i32]) {
+        match self {
+            Synapses::Conv { geom, w, wt, scratch } => {
+                qconv2d_forward_routed(geom, x, n, w, wt, acc, scratch);
+            }
+            Synapses::Dense { wt, in_len, out_n } => qlinear_into(x, wt, acc, n, *in_len, *out_n),
+        }
+    }
+}
+
+/// The neurons of a spiking stage: per-channel requantize, bias and
+/// fixed-point LIF over the stage's `[n, item_len]` accumulators.
+///
+/// Both passes walk rows of `row` neurons, and a row reads `span`
+/// consecutive (rescale, bias) entries: one shared by the row, or
+/// one per neuron. A conv row is one channel plane of one item
+/// (`span` 1); a dense row is one item (`span` = `row`, each neuron
+/// its own channel). So the kernels run on whole rows, loading each
+/// parameter once.
+struct Neurons {
+    bias_q: Vec<i32>,
+    rescale: Vec<Rescale>,
+    lif: FixedLif,
+    row: usize,
+    span: usize,
+    /// The synapses' sums, rescaled in place by [`Neurons::requantize`]
+    /// into the Q-format current before bias.
+    acc: Vec<i32>,
+    mem: Vec<i32>,
+}
+
+impl Neurons {
+    fn new(bias_q: &[i32], rescale: &[Rescale], lif: FixedLif, row: usize, span: usize) -> Self {
+        Neurons {
+            bias_q: bias_q.to_vec(),
+            rescale: rescale.to_vec(),
+            lif,
+            row,
+            span,
+            acc: Vec::new(),
+            mem: Vec::new(),
+        }
+    }
+
+    /// Row `r`'s `span` entries in the parameter vectors.
+    fn params(span: usize, channels: usize, r: usize) -> std::ops::Range<usize> {
+        let first = r * span % channels;
+        first..first + span
+    }
+
+    /// Rescales every accumulator in place with its channel's
+    /// [`Rescale`].
+    fn requantize(&mut self) {
+        let Neurons { rescale, row, span, acc, .. } = self;
+        let (row, span) = (*row, *span);
+        par::for_each_block(acc, row, par::min_granules_for(4 * row), |r0, rows| {
+            for (r, arow) in (r0..).zip(rows.chunks_exact_mut(row)) {
+                match &rescale[Self::params(span, rescale.len(), r)] {
+                    [shared] => shared.apply_row(arow),
+                    own => arow.iter_mut().zip(own).for_each(|(a, rs)| *a = rs.apply(*a)),
+                }
+            }
+        });
+    }
+
+    /// One timestep: bias + LIF over the requantized accumulators.
+    /// `out` enters holding the previous timestep's spikes and leaves
+    /// holding this timestep's.
+    ///
+    /// Elementwise (each neuron touches only its own current,
+    /// membrane and previous spike), so splitting rows across workers
+    /// is bit-exact with the serial loop.
+    fn step(&mut self, out: &mut [u8]) {
+        let Neurons { bias_q, lif, row, span, acc, mem, .. } = self;
+        let (row, span) = (*row, *span);
+        let min_rows = par::min_granules_for(8 * row);
+        par::for_each_block2(mem, row, out, row, min_rows, |r0, mrows, orows| {
+            let rows = mrows.chunks_exact_mut(row).zip(orows.chunks_exact_mut(row));
+            let currents = acc[r0 * row..].chunks_exact(row);
+            for (r, ((mrow, orow), arow)) in (r0..).zip(rows.zip(currents)) {
+                let bias = &bias_q[Self::params(span, bias_q.len(), r)];
+                lif.step_row(arow, bias, mrow, orow);
+            }
+        });
+    }
 }
 
 /// An executable quantized network.
@@ -126,17 +205,15 @@ impl QuantNetwork {
                         item_len: geom.out_channels * geom.out_h() * geom.out_w(),
                         spiking: true,
                     });
-                    stages.push(RunStage::Conv {
-                        geom: *geom,
-                        w: weight.values.clone(),
-                        wt,
-                        bias_q: bias_q.clone(),
-                        rescale: rescale.clone(),
-                        lif: *lif,
-                        scratch: QConvScratch::new(),
-                        acc: Vec::new(),
-                        mem: Vec::new(),
-                    });
+                    stages.push(RunStage::Spiking(
+                        Box::new(Synapses::Conv {
+                            geom: *geom,
+                            w: weight.values.clone(),
+                            wt,
+                            scratch: QConvScratch::new(),
+                        }),
+                        Neurons::new(bias_q, rescale, *lif, geom.out_h() * geom.out_w(), 1),
+                    ));
                 }
                 QuantStage::Dense { name, weight, bias_q, rescale, lif } => {
                     let wt = transpose_i8(&weight.values, weight.channels, weight.per_channel);
@@ -145,16 +222,14 @@ impl QuantNetwork {
                         item_len: weight.channels,
                         spiking: true,
                     });
-                    stages.push(RunStage::Dense {
-                        wt,
-                        in_len: weight.per_channel,
-                        out_n: weight.channels,
-                        bias_q: bias_q.clone(),
-                        rescale: rescale.clone(),
-                        lif: *lif,
-                        acc: Vec::new(),
-                        mem: Vec::new(),
-                    });
+                    stages.push(RunStage::Spiking(
+                        Box::new(Synapses::Dense {
+                            wt,
+                            in_len: weight.per_channel,
+                            out_n: weight.channels,
+                        }),
+                        Neurons::new(bias_q, rescale, *lif, weight.channels, weight.channels),
+                    ));
                 }
                 QuantStage::Pool { name, geom } => {
                     meta.push(StageMeta {
@@ -228,21 +303,18 @@ impl QuantNetwork {
             return Err(QuantError::Calibration("zero timesteps".into()));
         }
         self.quantize_input(items, item_len)?;
-        // Reset batch state: membranes to zero, previous spikes (the
-        // stage output buffers) to zero.
+        // Reset batch state: membranes and previous spikes (the stage
+        // output buffers) to zero. The accumulators are only sized:
+        // the synapse kernels overwrite every one at t = 0.
         for (stage, (out, meta)) in
             self.stages.iter_mut().zip(self.outs.iter_mut().zip(self.meta.iter()))
         {
             out.clear();
             out.resize(n * meta.item_len, 0);
-            match stage {
-                RunStage::Conv { mem, acc, .. } | RunStage::Dense { mem, acc, .. } => {
-                    mem.clear();
-                    mem.resize(n * meta.item_len, 0);
-                    acc.clear();
-                    acc.resize(n * meta.item_len, 0);
-                }
-                _ => {}
+            if let RunStage::Spiking(_, neurons) = stage {
+                neurons.mem.clear();
+                neurons.mem.resize(n * meta.item_len, 0);
+                neurons.acc.resize(n * meta.item_len, 0);
             }
         }
         let mut counts = vec![0u32; n * self.classes];
@@ -251,26 +323,21 @@ impl QuantNetwork {
             for i in 0..self.stages.len() {
                 // Time-invariant work runs at t = 0 only: the static
                 // prefix's outputs and the first spiking stage's
-                // accumulators stay in their buffers for later steps.
+                // requantized accumulators stay in their buffers for
+                // later steps.
                 let fresh = t == 0 || i > self.first_spiking;
                 let (done, rest) = self.outs.split_at_mut(i);
                 let x: &[u8] = if i == 0 { &self.qinput } else { &done[i - 1] };
                 let out = &mut rest[0];
                 match &mut self.stages[i] {
-                    RunStage::Conv { geom, w, wt, bias_q, rescale, lif, scratch, acc, mem } => {
+                    RunStage::Spiking(synapses, neurons) => {
                         if fresh {
-                            qconv2d_forward_routed(geom, x, n, w, wt, acc, scratch);
+                            synapses.accumulate(x, n, &mut neurons.acc);
+                            neurons.requantize();
                         }
-                        let plane = geom.out_h() * geom.out_w();
-                        lif_pass(acc, mem, out, bias_q, rescale, lif, plane);
+                        neurons.step(out);
                     }
-                    RunStage::Dense { wt, in_len, out_n, bias_q, rescale, lif, acc, mem } => {
-                        if fresh {
-                            qlinear_into(x, wt, acc, n, *in_len, *out_n);
-                        }
-                        lif_pass(acc, mem, out, bias_q, rescale, lif, 1);
-                    }
-                    RunStage::Pool { geom } if fresh => pool_pass(geom, x, out, n),
+                    RunStage::Pool { geom } if fresh => maxpool_into(geom, x, out, &mut []),
                     RunStage::Flatten if fresh => out.copy_from_slice(x),
                     RunStage::Pool { .. } | RunStage::Flatten => {}
                 }
@@ -372,88 +439,6 @@ pub fn classify_counts(counts: &[u32]) -> usize {
         }
     }
     best
-}
-
-/// Rescale + bias + fixed-point LIF over one stage's accumulators,
-/// one `[item, channel]` row of `plane` neurons at a time.
-///
-/// Each row loads its channel's rescale and bias once, and the reset
-/// mode is resolved before any loop, so the inner loop is the
-/// requantize and the membrane step alone. Elementwise (each neuron
-/// touches only its own accumulator, membrane, and previous spike),
-/// so splitting rows across workers is bit-exact with the serial
-/// loop. `out` enters holding the previous timestep's spikes and
-/// leaves holding this timestep's.
-fn lif_pass(
-    acc: &[i32],
-    mem: &mut [i32],
-    out: &mut [u8],
-    bias_q: &[i32],
-    rescale: &[Rescale],
-    lif: &FixedLif,
-    plane: usize,
-) {
-    match lif.reset {
-        ResetMode::Subtract => lif_rows::<false>(acc, mem, out, bias_q, rescale, lif, plane),
-        ResetMode::Zero => lif_rows::<true>(acc, mem, out, bias_q, rescale, lif, plane),
-    }
-}
-
-/// [`lif_pass`] for one reset mode, fixed at compile time.
-fn lif_rows<const ZERO_RESET: bool>(
-    acc: &[i32],
-    mem: &mut [i32],
-    out: &mut [u8],
-    bias_q: &[i32],
-    rescale: &[Rescale],
-    lif: &FixedLif,
-    plane: usize,
-) {
-    let channels = bias_q.len();
-    let min_rows = par::min_granules_for(12 * plane);
-    par::for_each_block2(mem, plane, out, plane, min_rows, |r0, mrows, orows| {
-        let rows = mrows.chunks_exact_mut(plane).zip(orows.chunks_exact_mut(plane));
-        for (row, (mrow, orow)) in (r0..).zip(rows) {
-            let oc = row % channels;
-            let (rs, bias) = (rescale[oc], bias_q[oc] as i64);
-            let arow = &acc[row * plane..(row + 1) * plane];
-            for ((m, s), &a) in mrow.iter_mut().zip(orow.iter_mut()).zip(arow) {
-                let current = rs.apply(a) as i64 + bias;
-                let (m_new, spike) = lif.step_as::<ZERO_RESET>(*m, *s != 0, current);
-                *m = m_new;
-                *s = spike as u8;
-            }
-        }
-    });
-}
-
-/// Integer max pooling over `[n, C, H, W]` u8 activations: an OR for
-/// binary spikes, an exact max for level-coded values — identical to
-/// f32 max pooling in either case.
-fn pool_pass(g: &Pool2dGeometry, x: &[u8], out: &mut [u8], n: usize) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let item_in = g.channels * g.in_h * g.in_w;
-    let item_out = g.channels * oh * ow;
-    for item in 0..n {
-        let xi = &x[item * item_in..(item + 1) * item_in];
-        let oi = &mut out[item * item_out..(item + 1) * item_out];
-        for c in 0..g.channels {
-            let chan = &xi[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = 0u8;
-                    for ky in 0..g.kernel {
-                        let iy = oy * g.stride + ky;
-                        for kx in 0..g.kernel {
-                            let v = chan[iy * g.in_w + ox * g.stride + kx];
-                            best = best.max(v);
-                        }
-                    }
-                    oi[(c * oh + oy) * ow + ox] = best;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,15 @@
 //! 1. **Round trip** — per-channel quantize→dequantize error is
 //!    bounded by half a quantization step per value.
 //! 2. **Saturation** — casts clamp (never wrap, never produce
-//!    `i8::MIN`), including i32 accumulators near overflow.
+//!    `i8::MIN`), including i32 accumulators near overflow, and the
+//!    row requantize ([`Rescale::apply_row`]) equals the scalar
+//!    [`Rescale::apply`] on every accumulator.
 //! 3. **Fixed-point LIF** — the integer membrane trajectory tracks
-//!    the f32 reference within a stated, derived tolerance, and the
-//!    full quantized forward is bit-identical across thread counts
-//!    and dispatch routes.
+//!    the f32 reference within a stated, derived tolerance, the
+//!    runtime's row kernel ([`FixedLif::step_row`]) equals the scalar
+//!    [`FixedLif::step`] on every input an artifact can produce, and
+//!    the full quantized forward is bit-identical across thread
+//!    counts and dispatch routes.
 
 use proptest::prelude::*;
 
@@ -125,6 +129,149 @@ proptest! {
                 step, got, uf, tol
             );
         }
+    }
+}
+
+/// Membranes and currents at and near the `i32` extremes (`Rescale`
+/// saturates to them), plus values around zero.
+const EDGES: [i32; 9] = [i32::MIN, i32::MIN + 1, -65_537, -1, 0, 1, 65_536, i32::MAX - 1, i32::MAX];
+
+/// Runs [`FixedLif::step_row`] on one row and checks every neuron
+/// against [`FixedLif::step`] with its bias (one shared, or one per
+/// neuron) widened into the current.
+fn check_row(
+    lif: &FixedLif,
+    mem: &[i32],
+    spikes: &[u8],
+    current: &[i32],
+    bias: &[i32],
+) -> Result<(), TestCaseError> {
+    let (mut got_mem, mut got_spikes) = (mem.to_vec(), spikes.to_vec());
+    lif.step_row(current, bias, &mut got_mem, &mut got_spikes);
+    for i in 0..mem.len() {
+        let b = bias[i % bias.len()];
+        let want = lif.step(mem[i], spikes[i] != 0, current[i] as i64 + b as i64);
+        prop_assert_eq!(
+            (got_mem[i], got_spikes[i] != 0), want,
+            "{:?}: m {} spike {} current {} bias {}", lif, mem[i], spikes[i], current[i], b
+        );
+        prop_assert!(got_spikes[i] <= 1, "spikes stay 0/1");
+    }
+    Ok(())
+}
+
+fn fixed_lif(beta_mult: i32, beta_shift: u32, theta_q: i32, zero_reset: bool) -> FixedLif {
+    let lif = FixedLif {
+        frac_bits: 16,
+        beta_mult,
+        beta_shift,
+        theta_q,
+        reset: if zero_reset { ResetMode::Zero } else { ResetMode::Subtract },
+    };
+    lif.validate().expect("in the accepted domain");
+    lif
+}
+
+/// Every edge membrane × edge current × previous spike, for every
+/// `beta_shift` that validation accepts, the end points and middle of
+/// its multiplier range, both reset modes and edge biases.
+#[test]
+fn lif_row_kernel_matches_step_on_edges() {
+    let mut mem = Vec::new();
+    let mut spikes = Vec::new();
+    let mut current = Vec::new();
+    for &m in &EDGES {
+        for &c in &EDGES {
+            for s in [0u8, 1] {
+                mem.push(m);
+                spikes.push(s);
+                current.push(c);
+            }
+        }
+    }
+    for beta_shift in 0..=30u32 {
+        let top = 1i32 << beta_shift;
+        for beta_mult in [0, 1, top / 2, top - 1, top] {
+            for zero_reset in [false, true] {
+                for theta_q in [1, 1 << 16, i32::MAX] {
+                    let lif = fixed_lif(beta_mult, beta_shift, theta_q, zero_reset);
+                    for bias in [i32::MIN, -1, 0, 1, i32::MAX] {
+                        check_row(&lif, &mem, &spikes, &current, &[bias]).unwrap();
+                    }
+                    let per_neuron: Vec<i32> = (0..mem.len()).map(|i| EDGES[i % EDGES.len()]).collect();
+                    check_row(&lif, &mem, &spikes, &current, &per_neuron).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// [`Rescale::apply_row`] equals [`Rescale::apply`] on every edge
+/// accumulator, for every shift validation accepts and multipliers
+/// from zero to `i32::MAX`.
+#[test]
+fn rescale_row_matches_apply_on_edges() {
+    for shift in 0..=62u32 {
+        for mult in [0, 1, 3, 1 << 22, (1 << 23) - 1, i32::MAX] {
+            let rs = Rescale { mult, shift };
+            rs.validate().unwrap();
+            let mut row = EDGES.to_vec();
+            rs.apply_row(&mut row);
+            for (&acc, &got) in EDGES.iter().zip(&row) {
+                assert_eq!(got, rs.apply(acc), "{rs:?} on {acc}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random rows through [`Rescale::apply_row`] against
+    /// [`Rescale::apply`]: any accumulator, multiplier and shift.
+    #[test]
+    fn rescale_row_matches_apply(
+        mult in 0i32..=i32::MAX, shift in 0u32..=62, seed in any::<u64>(), len in 1usize..80,
+    ) {
+        let rs = Rescale { mult, shift };
+        let mut s = seed | 1;
+        let accs: Vec<i32> = (0..len).map(|_| ((lcg(&mut s) << 1) ^ lcg(&mut s)) as i32).collect();
+        let mut row = accs.clone();
+        rs.apply_row(&mut row);
+        for (&acc, &got) in accs.iter().zip(&row) {
+            prop_assert_eq!(got, rs.apply(acc), "{:?} on {}", rs, acc);
+        }
+    }
+
+    /// Random rows over the whole accepted domain: any membrane, any
+    /// current a saturating `Rescale` can emit, any bias (shared by
+    /// the row, and one per neuron), any
+    /// `beta_mult ∈ [0, 2^beta_shift]` and threshold, both reset
+    /// modes. Half of each row's values come from the edge set.
+    #[test]
+    fn lif_row_kernel_matches_step(
+        beta_shift in 0u32..=30, mult_frac in any::<u32>(), theta_q in 1i32..=i32::MAX,
+        zero_reset in any::<bool>(), bias in any::<i32>(), seed in any::<u64>(),
+        len in 1usize..80,
+    ) {
+        let top = 1u64 << beta_shift;
+        let beta_mult = ((mult_frac as u64 * (top + 1)) >> 32) as i32;
+        let lif = fixed_lif(beta_mult, beta_shift, theta_q, zero_reset);
+        let mut s = seed | 1;
+        let draw = |s: &mut u64| {
+            let r = lcg(s);
+            if r.is_multiple_of(2) {
+                EDGES[(r / 2 % EDGES.len() as u64) as usize]
+            } else {
+                ((lcg(s) << 1) ^ r) as i32
+            }
+        };
+        let mem: Vec<i32> = (0..len).map(|_| draw(&mut s)).collect();
+        let current: Vec<i32> = (0..len).map(|_| draw(&mut s)).collect();
+        let spikes: Vec<u8> = (0..len).map(|_| (lcg(&mut s) % 2) as u8).collect();
+        let per_neuron: Vec<i32> = (0..len).map(|_| draw(&mut s)).collect();
+        check_row(&lif, &mem, &spikes, &current, &[bias])?;
+        check_row(&lif, &mem, &spikes, &current, &per_neuron)?;
     }
 }
 

@@ -75,6 +75,24 @@ pub struct PoolForward {
     pub argmax: Vec<u32>,
 }
 
+/// An activation type max pooling compares: `f32` in training and
+/// the f32 engine, `u8` (level-coded input or binary spikes) in the
+/// integer runtime.
+pub trait PoolElem: Copy + PartialOrd + Send + Sync {
+    /// The value every window starts from. A window whose elements
+    /// never compare greater (NaN or `-inf` for `f32`, all zeros for
+    /// `u8`) pools to it.
+    const FLOOR: Self;
+}
+
+impl PoolElem for f32 {
+    const FLOOR: f32 = f32::NEG_INFINITY;
+}
+
+impl PoolElem for u8 {
+    const FLOOR: u8 = 0;
+}
+
 /// Max-pools a `[N, C, H, W]` batch.
 ///
 /// Ties are broken toward the first (row-major earliest) element of
@@ -105,58 +123,112 @@ pub fn maxpool2d_forward(
         return Err(TensorError::ShapeMismatch { lhs: input.shape(), rhs: expect, op: "maxpool2d" });
     }
     let _span = snn_obs::span!("maxpool");
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let mut output = Tensor::zeros(Shape::d4(n, g.channels, oh, ow));
+    let mut output = Tensor::zeros(Shape::d4(n, g.channels, g.out_h(), g.out_w()));
     let mut argmax = if record_argmax { vec![0u32; output.len()] } else { Vec::new() };
-    let item_out = g.channels * oh * ow;
-    if n == 0 || item_out == 0 {
-        return Ok(PoolForward { output, argmax });
+    maxpool_into(g, input.as_slice(), output.as_mut_slice(), &mut argmax);
+    Ok(PoolForward { output, argmax })
+}
+
+/// Max-pools `[n, C, H, W]` values `x` into `out` (`[n, C, out_h,
+/// out_w]`), split across workers by item.
+///
+/// Each output is the largest element of its window, compared in
+/// `(ky, kx)` order with strict `>` from [`PoolElem::FLOOR`]: the
+/// first of tied maxima wins (`-0.0` before a later `+0.0` and vice
+/// versa), and NaN never does. A non-empty `argmax` (one slot per
+/// output) receives each winner's linear offset in `x`; a window
+/// nothing beats points at its channel's first element. The pooled
+/// values are the same whether or not `argmax` is recorded.
+///
+/// # Panics
+///
+/// Panics if `x` and `out` hold different item counts for `g`, or
+/// `argmax` is neither empty nor `out`'s length.
+pub fn maxpool_into<T: PoolElem>(g: &Pool2dGeometry, x: &[T], out: &mut [T], argmax: &mut [u32]) {
+    let item_in = g.channels * g.in_h * g.in_w;
+    let item_out = g.channels * g.out_h() * g.out_w();
+    let n = out.len().checked_div(item_out).unwrap_or(0);
+    assert_eq!(out.len(), n * item_out, "pool output length");
+    assert_eq!(x.len(), n * item_in, "pool input length");
+    assert!(argmax.is_empty() || argmax.len() == out.len(), "pool argmax length");
+    if n == 0 {
+        return;
     }
-    let iv = input.as_slice();
-    let ov = output.as_mut_slice();
     let min_items = par::min_granules_for(item_out * g.kernel * g.kernel);
     // A zero granule hands every worker an empty argmax block.
-    let argmax_granule = if record_argmax { item_out } else { 0 };
-    par::for_each_block2(
-        ov,
-        item_out,
-        &mut argmax,
-        argmax_granule,
-        min_items,
-        |item0, ovblock, amblock| {
-            let mut oidx = 0usize;
-            for i in 0..ovblock.len() / item_out {
-                let item = item0 + i;
-                for c in 0..g.channels {
-                    let chan_base = (item * g.channels + c) * g.in_h * g.in_w;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_off = chan_base;
-                            for ky in 0..g.kernel {
-                                let iy = oy * g.stride + ky;
-                                for kx in 0..g.kernel {
-                                    let ix = ox * g.stride + kx;
-                                    let off = chan_base + iy * g.in_w + ix;
-                                    let v = iv[off];
-                                    if v > best {
-                                        best = v;
-                                        best_off = off;
-                                    }
+    let argmax_granule = if argmax.is_empty() { 0 } else { item_out };
+    par::for_each_block2(out, item_out, argmax, argmax_granule, min_items, |item0, oblock, ablock| {
+        let xblock = &x[item0 * item_in..][..oblock.len() / item_out * item_in];
+        let base = item0 * item_in;
+        // The paper's pools are 2×2 windows at stride 2. Naming that
+        // shape lets the compiler unroll the window; every other shape
+        // runs the same loop with its sizes read at run time.
+        match (g.kernel, g.stride) {
+            (2, 2) => window_rows(2, 2, g, xblock, oblock, ablock, base),
+            (k, s) => window_rows(k, s, g, xblock, oblock, ablock, base),
+        }
+    });
+}
+
+/// The window loop of [`maxpool_into`] for a `k × k` window at stride
+/// `s`, over whole channel planes: `x` holds planes of `in_h × in_w`,
+/// `out` the matching planes of `out_h × out_w`, and `base` is
+/// `x[0]`'s offset in the pooled tensor (for `argmax`).
+///
+/// It walks one output row at a time, and the output row once per
+/// window row `ky`: each output compares its `k` taps of input row
+/// `oy·s + ky` against the best so far, held in the output slot. So
+/// each output still sees its taps in `(ky, kx)` order.
+#[inline(always)]
+fn window_rows<T: PoolElem>(
+    k: usize,
+    s: usize,
+    g: &Pool2dGeometry,
+    x: &[T],
+    out: &mut [T],
+    argmax: &mut [u32],
+    base: usize,
+) {
+    let (in_w, ow) = (g.in_w, g.out_w());
+    let (plane_in, plane_out) = (g.in_h * in_w, g.out_h() * ow);
+    let planes = x.chunks_exact(plane_in).zip(out.chunks_exact_mut(plane_out));
+    for (p, (xp, op)) in planes.enumerate() {
+        let plane_base = base + p * plane_in;
+        for (oy, orow) in op.chunks_exact_mut(ow).enumerate() {
+            orow.fill(T::FLOOR);
+            let mut arow = if argmax.is_empty() {
+                None
+            } else {
+                let a = &mut argmax[p * plane_out + oy * ow..][..ow];
+                a.fill(plane_base as u32);
+                Some(a)
+            };
+            for ky in 0..k {
+                let row_off = (oy * s + ky) * in_w;
+                let row = &xp[row_off..row_off + in_w];
+                match arow.as_deref_mut() {
+                    None => {
+                        for (ox, o) in orow.iter_mut().enumerate() {
+                            for &v in &row[ox * s..ox * s + k] {
+                                *o = if v > *o { v } else { *o };
+                            }
+                        }
+                    }
+                    Some(arow) => {
+                        for (ox, (o, a)) in orow.iter_mut().zip(arow.iter_mut()).enumerate() {
+                            let off0 = plane_base + row_off + ox * s;
+                            for (kx, &v) in row[ox * s..ox * s + k].iter().enumerate() {
+                                if v > *o {
+                                    *o = v;
+                                    *a = (off0 + kx) as u32;
                                 }
                             }
-                            ovblock[oidx] = best;
-                            if record_argmax {
-                                amblock[oidx] = best_off as u32;
-                            }
-                            oidx += 1;
                         }
                     }
                 }
             }
-        },
-    );
-    Ok(PoolForward { output, argmax })
+        }
+    }
 }
 
 /// Backward max pool: routes each upstream gradient to the input
