@@ -53,9 +53,10 @@ extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
 }
 
-/// Set by the `SIGTERM` handler; polled by the event loop each tick
-/// (the loop never sleeps longer than its idle tick, so delivery
-/// latency is bounded without `signalfd`).
+/// Set by the `SIGTERM` handler; polled by the event loop after every
+/// wake-up. A signal cannot ring the loop's doorbell, so the loop never
+/// sleeps longer than its idle tick: delivery latency is bounded
+/// without `signalfd`.
 static TERM_FLAG: AtomicBool = AtomicBool::new(false);
 
 /// The `SIGTERM` handler: one atomic store, the only async-signal-safe

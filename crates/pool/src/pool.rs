@@ -18,8 +18,12 @@
 //! re-routed once over the remaining closed replicas before the typed
 //! rejection is surfaced.
 //!
+//! Every replica's batch worker rings the pool's one [`Doorbell`] after
+//! sending a batch's replies; the front end's event loop watches the
+//! other end of that socket pair and polls its tickets when it rings.
+//!
 //! On top of routing sits a self-healing supervisor
-//! ([`ReplicaPool::supervise`], driven once per event-loop tick): a
+//! ([`ReplicaPool::supervise`], driven once per event-loop pass): a
 //! replica whose breaker keeps tripping is *quarantined* — removed
 //! from routing, its batcher torn down and rebuilt from the shared
 //! registry — then *probed* with a synthetic inference and re-admitted
@@ -29,13 +33,17 @@
 //! instead of serving errors. The last serving replica is never
 //! quarantined: degraded capacity beats none.
 
+use std::io::Read;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use snn_obs::{Counter, Gauge, TraceContext};
 use snn_serve::{
-    Batcher, BatcherConfig, CircuitState, InferReply, Metrics, ModelRegistry, Rejection, Ticket,
+    Batcher, BatcherConfig, CircuitState, Doorbell, InferReply, Metrics, ModelRegistry, Rejection,
+    ServeError, Ticket,
 };
 
 use crate::server::PoolServerConfig;
@@ -58,10 +66,10 @@ struct ReplicaHealth {
     /// Closed→open breaker transitions observed since the last
     /// readmission.
     trips: u32,
-    /// Whether the breaker was open at the previous supervise tick
+    /// Whether the breaker was open at the previous supervise pass
     /// (edge detection for trip counting).
     was_open: bool,
-    /// An in-flight synthetic probe, polled nonblockingly each tick.
+    /// An in-flight synthetic probe, polled nonblockingly each pass.
     probe: Option<Ticket>,
     /// Consecutive failed probes since quarantine began.
     probe_failures: usize,
@@ -124,6 +132,11 @@ pub struct ReplicaPool {
     /// xorshift state for candidate sampling; contention is irrelevant
     /// (any interleaving still yields uniform-enough samples for p2c).
     rng: AtomicU64,
+    /// Handed to every batcher this pool starts, rebuilds included.
+    doorbell: Doorbell,
+    /// The doorbell's read end. Declared last so it outlives every
+    /// batcher (and its worker) that could still ring.
+    bell_rx: UnixStream,
 }
 
 impl ReplicaPool {
@@ -136,24 +149,30 @@ impl ReplicaPool {
     ///
     /// # Errors
     ///
-    /// Returns [`snn_core::SnapshotError`] if an engine cannot be
-    /// built from the registry's current snapshot.
+    /// [`ServeError::Io`] if the doorbell's socket pair cannot be
+    /// made, [`ServeError::Snapshot`] if an engine cannot be built
+    /// from the registry's current snapshot.
     pub fn start(
         registry: Arc<ModelRegistry>,
         cfg: &PoolServerConfig,
         metrics: Arc<Metrics>,
-    ) -> Result<ReplicaPool, snn_core::SnapshotError> {
+    ) -> Result<ReplicaPool, ServeError> {
         let n = cfg.replicas.max(1);
         let reg = metrics.registry();
         let seconds = snn_obs::span_bounds();
         let batcher_cfg = cfg.batcher.clone();
+        let (doorbell, bell_rx) = Doorbell::pair().map_err(ServeError::Io)?;
         let mut replicas = Vec::with_capacity(n);
         for i in 0..n {
-            let batcher = Arc::new(Batcher::start(
-                Arc::clone(&registry),
-                batcher_cfg.clone(),
-                Arc::clone(&metrics),
-            )?);
+            let batcher = Arc::new(
+                Batcher::start(
+                    Arc::clone(&registry),
+                    batcher_cfg.clone(),
+                    Arc::clone(&metrics),
+                    Some(doorbell.clone()),
+                )
+                .map_err(ServeError::Snapshot)?,
+            );
             let instruments = ReplicaInstruments {
                 queue_depth: reg.gauge(
                     &format!("snn_pool_replica_queue_depth{{replica=\"{i}\"}}"),
@@ -223,7 +242,27 @@ impl ReplicaPool {
             router_rerouted,
             rr: AtomicUsize::new(0),
             rng: AtomicU64::new(0x9e3779b97f4a7c15),
+            doorbell,
+            bell_rx,
         })
+    }
+
+    /// Rings the doorbell: wakes the front end's event loop when there
+    /// is no reply to deliver (shutdown, drain).
+    pub(crate) fn ring(&self) {
+        self.doorbell.ring();
+    }
+
+    /// The doorbell's read end, for the event loop's readiness set.
+    pub(crate) fn doorbell_fd(&self) -> RawFd {
+        self.bell_rx.as_raw_fd()
+    }
+
+    /// Reads the doorbell until it would block. The registration is
+    /// level-triggered, so any ring left unread wakes the loop again.
+    pub(crate) fn drain_doorbell(&self) {
+        let mut buf = [0u8; 64];
+        while let Ok(1..) = (&self.bell_rx).read(&mut buf) {}
     }
 
     /// Number of replicas.
@@ -398,9 +437,12 @@ impl ReplicaPool {
         }
     }
 
-    /// One tick of the self-healing supervisor; cheap when nothing is
+    /// One pass of the self-healing supervisor; cheap when nothing is
     /// wrong (per replica: one atomic read, one mutex, one breaker
-    /// peek). Called from the front end's event loop.
+    /// peek). Called from the front end's event loop after every
+    /// wake-up. Returns the earliest instant a quarantined replica may
+    /// launch its next probe, the one step here that waits on a clock
+    /// rather than on a ring; `None` when nothing is waiting to probe.
     ///
     /// State machine per replica:
     ///
@@ -413,14 +455,15 @@ impl ReplicaPool {
     /// * **probing** — poll the probe ticket. Success readmits the
     ///   replica (trip count reset); failure rebuilds again and backs
     ///   off exponentially before the next probe.
-    pub fn supervise(&self) {
+    pub fn supervise(&self) -> Option<Instant> {
         // Live check (atomics, no second health lock): when several
-        // replicas trip in the same tick, each quarantine must see the
-        // ones already taken this tick, or the guard would let the
+        // replicas trip in the same pass, each quarantine must see the
+        // ones already taken this pass, or the guard would let the
         // whole pool quarantine at once.
         let serving_elsewhere = |i: usize| {
             self.replicas.iter().enumerate().any(|(j, r)| j != i && !r.is_quarantined())
         };
+        let mut next_probe: Option<Instant> = None;
         for (i, r) in self.replicas.iter().enumerate() {
             let mut h = r.health();
             if !r.is_quarantined() {
@@ -437,11 +480,9 @@ impl ReplicaPool {
                 if h.trips >= self.quarantine_trips && serving_elsewhere(i) {
                     self.quarantine(i, r, &mut h);
                 }
-                continue;
-            }
-            if let Some(probe) = h.probe.as_mut() {
+            } else if let Some(probe) = h.probe.as_mut() {
                 match probe.try_wait() {
-                    None => {} // still in flight; poll again next tick
+                    None => {} // still in flight; its reply rings the doorbell
                     Some(Ok(_)) => self.readmit(i, r, &mut h),
                     Some(Err(e)) => self.probe_failed(i, r, &mut h, &e.to_string()),
                 }
@@ -457,7 +498,12 @@ impl ReplicaPool {
                     Err(e) => self.probe_failed(i, r, &mut h, &e.to_string()),
                 }
             }
+            if r.is_quarantined() && h.probe.is_none() {
+                let at = h.probe_not_before;
+                next_probe = Some(next_probe.map_or(at, |t| t.min(at)));
+            }
         }
+        next_probe
     }
 
     /// Pulls replica `i` out of routing and rebuilds its batcher.
@@ -482,6 +528,7 @@ impl ReplicaPool {
             Arc::clone(&self.registry),
             self.batcher_cfg.clone(),
             Arc::clone(&self.metrics),
+            Some(self.doorbell.clone()),
         ) {
             Ok(fresh) => {
                 let mut slot = r.batcher.write().unwrap_or_else(|p| p.into_inner());
@@ -598,7 +645,7 @@ mod tests {
         );
         assert_eq!(pool.circuit_states()[victim], CircuitState::Open);
 
-        // Supervisor ticks: quarantine + rebuild, probe, readmit.
+        // Supervisor passes: quarantine + rebuild, probe, readmit.
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.quarantine_counts().0 == 0 {
             assert!(Instant::now() < deadline, "replica never quarantined");
@@ -657,8 +704,8 @@ mod tests {
                 let _ = t.wait();
             }
         }
-        // One supervise tick quarantines one replica; the survivor is
-        // exempt no matter how many more ticks run.
+        // One supervise pass quarantines one replica; the survivor is
+        // exempt no matter how many more passes run.
         for _ in 0..10 {
             pool.supervise();
         }

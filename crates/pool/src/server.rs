@@ -5,9 +5,13 @@
 //! readiness loop multiplexes every connection through nonblocking
 //! accept/read/write state machines and hands parsed `/infer` bodies
 //! to the [`ReplicaPool`] router. In-flight replies come back through
-//! [`snn_serve::Ticket::try_wait`] polling — while any request is in
-//! flight the loop ticks at 1ms; fully idle it sleeps in `epoll_wait`
-//! until the kernel has something to say.
+//! [`snn_serve::Ticket::try_wait`], polled when the pool's doorbell
+//! rings: every replica's batch worker writes one byte to a socket pair
+//! after sending a batch's replies, and the loop watches the other end
+//! with the connections. Between events the loop sleeps in `epoll_wait`
+//! until the nearest deadline — an engine give-up, a quarantine probe,
+//! the idle sweep, a drain's grace or deadline — capped at
+//! `IDLE_TICK` so a `SIGTERM` is noticed. No reply waits on a timer.
 //!
 //! The protocol pieces — head parser, body framing limits, response
 //! builders and status mapping — are `snn-serve`'s pure functions
@@ -32,8 +36,8 @@
 //!   │     ▼                                   │           ▼
 //!   │   idle > IDLE_TIMEOUT → close           │      [InFlight]
 //!   │                                         │   ticket.try_wait()
-//!   │                                         │   each tick; engine
-//!   │                                         │   timeout → 503
+//!   │                                         │   on a doorbell ring;
+//!   │                                         │   engine timeout → 503
 //!   │                                         ▼           │
 //!   └───────────keep-alive────────────── [respond] <──────┘
 //!                                 (write, EPOLLOUT if blocked)
@@ -50,7 +54,9 @@
 //! batch worker. `POST` routes also record a five-stage timeline
 //! (`parse`, `queue_wait`, `batch_form`, `forward`, `respond`) into
 //! the tail-sampled [`TraceRing`] behind `/debug/traces`; the stages
-//! sum to the request's wall time up to microsecond truncation.
+//! sum to the request's wall time up to microsecond truncation. The
+//! `forward` stage runs from the batch's start to the loop picking the
+//! reply up, so it holds the forward pass plus the doorbell's wake-up.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -74,10 +80,13 @@ use crate::epoll::{Epoll, Event, Interest};
 use crate::pool::ReplicaPool;
 
 const LISTENER_TOKEN: u64 = 0;
-/// Tick granularity while requests are in flight (ticket polling).
-const BUSY_TICK: Duration = Duration::from_millis(1);
-/// Tick granularity while fully idle (shutdown flag + idle sweeps).
+/// The pool's doorbell; connection tokens count up from 1.
+const DOORBELL_TOKEN: u64 = u64::MAX;
+/// Longest `epoll_wait` sleep: bounds how late the loop notices a
+/// `SIGTERM`, the one event that cannot ring the doorbell.
 const IDLE_TICK: Duration = Duration::from_millis(250);
+/// How often idle keep-alive connections are swept.
+const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 /// How long a drain lets an apparently-idle connection live before
 /// dropping it — covers a request whose bytes were written by the peer
 /// but not yet surfaced by the kernel when the drain began.
@@ -155,15 +164,13 @@ impl PoolServer {
     /// cannot be built.
     pub fn start(registry: Arc<ModelRegistry>, cfg: PoolServerConfig) -> Result<Self, ServeError> {
         let metrics = Arc::new(Metrics::with_slo(cfg.slo));
-        let pool = Arc::new(
-            ReplicaPool::start(Arc::clone(&registry), &cfg, Arc::clone(&metrics))
-                .map_err(ServeError::Snapshot)?,
-        );
+        let pool = Arc::new(ReplicaPool::start(Arc::clone(&registry), &cfg, Arc::clone(&metrics))?);
         let listener = TcpListener::bind(&cfg.addr).map_err(ServeError::Io)?;
         listener.set_nonblocking(true).map_err(ServeError::Io)?;
         let addr = listener.local_addr().map_err(ServeError::Io)?;
         let epoll = Epoll::new().map_err(ServeError::Io)?;
         epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ).map_err(ServeError::Io)?;
+        epoll.add(pool.doorbell_fd(), DOORBELL_TOKEN, Interest::READ).map_err(ServeError::Io)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let drain = Arc::new(AtomicBool::new(false));
         if cfg.handle_sigterm {
@@ -250,6 +257,7 @@ impl PoolServer {
     /// [`PoolServerConfig::handle_sigterm`] is set.
     pub fn begin_drain(&self) {
         self.drain.store(true, Ordering::Release);
+        self.pool.ring();
     }
 
     /// Whether a drain has been requested (by [`Self::begin_drain`] or
@@ -263,8 +271,7 @@ impl PoolServer {
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         self.pool.request_shutdown();
-        // Unblock a fully idle epoll_wait with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        self.pool.ring();
         self.join();
     }
 }
@@ -359,8 +366,12 @@ struct EventLoop {
 impl EventLoop {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut last_sweep = Instant::now();
+        let mut next_sweep = Instant::now() + SWEEP_INTERVAL;
         let mut drain_deadline: Option<Instant> = None;
+        // Deadlines the previous pass left pending: the nearest engine
+        // give-up and the next quarantine probe.
+        let mut give_up: Option<Instant> = None;
+        let mut probe: Option<Instant> = None;
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 break;
@@ -373,22 +384,17 @@ impl EventLoop {
                 drain_deadline = Some(Instant::now() + self.drain_timeout);
                 self.enter_drain();
             }
+            let mut due = earliest(give_up, probe).map_or(next_sweep, |t| t.min(next_sweep));
             if let Some(deadline) = drain_deadline {
-                self.drain_sweep();
+                let grace = self.drain_sweep();
                 self.reap_dead();
                 if self.conns.is_empty() || Instant::now() >= deadline {
                     break;
                 }
+                due = grace.map_or(deadline, |g| g.min(deadline)).min(due);
             }
-            // While draining, tick fast regardless of in-flight state:
-            // the exit condition (last connection gone) is polled, not
-            // event-driven.
-            let tick = if drain_deadline.is_some() || !self.inflight.is_empty() {
-                BUSY_TICK
-            } else {
-                IDLE_TICK
-            };
-            if let Err(e) = self.epoll.wait(&mut events, Some(tick)) {
+            let timeout = due.saturating_duration_since(Instant::now()).min(IDLE_TICK);
+            if let Err(e) = self.epoll.wait(&mut events, Some(timeout)) {
                 snn_obs::log_warn!("epoll_wait failed", error = e.to_string());
                 break;
             }
@@ -396,17 +402,17 @@ impl EventLoop {
                 break;
             }
             for ev in std::mem::take(&mut events) {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_ready();
-                } else {
-                    self.drive(ev);
+                match ev.token {
+                    LISTENER_TOKEN => self.accept_ready(),
+                    DOORBELL_TOKEN => self.pool.drain_doorbell(),
+                    _ => self.drive(ev),
                 }
             }
-            self.poll_inflight();
-            self.pool.supervise();
-            if last_sweep.elapsed() >= Duration::from_secs(1) {
+            give_up = self.poll_inflight();
+            probe = self.pool.supervise();
+            if Instant::now() >= next_sweep {
                 self.sweep_idle();
-                last_sweep = Instant::now();
+                next_sweep = Instant::now() + SWEEP_INTERVAL;
             }
             self.reap_dead();
         }
@@ -452,18 +458,25 @@ impl EventLoop {
 
     /// One drain-mode pass: drops connections that are idle (no
     /// partial frame, no pending output, nothing in flight) and have
-    /// stayed so past [`DRAIN_IDLE_GRACE`].
-    fn drain_sweep(&mut self) {
+    /// stayed so past [`DRAIN_IDLE_GRACE`]. Returns when the next idle
+    /// connection's grace ends.
+    fn drain_sweep(&mut self) -> Option<Instant> {
+        let mut next = None;
         for conn in self.conns.values_mut() {
             if matches!(conn.state, ConnState::Head)
                 && conn.buf.is_empty()
                 && conn.out.is_empty()
                 && conn.received.is_none()
-                && conn.idle_since.elapsed() >= DRAIN_IDLE_GRACE
             {
-                conn.dead = true;
+                let ends = conn.idle_since + DRAIN_IDLE_GRACE;
+                if Instant::now() >= ends {
+                    conn.dead = true;
+                } else {
+                    next = earliest(next, Some(ends));
+                }
             }
         }
+        next
     }
 
     fn accept_ready(&mut self) {
@@ -769,8 +782,10 @@ impl EventLoop {
 
     /// Polls every in-flight ticket; finished or timed-out requests
     /// get their response queued and the connection returns to
-    /// request parsing.
-    fn poll_inflight(&mut self) {
+    /// request parsing. Returns the nearest give-up instant of the
+    /// requests still in flight.
+    fn poll_inflight(&mut self) -> Option<Instant> {
+        let mut next_give_up = None;
         let tokens: Vec<u64> = self.inflight.iter().copied().collect();
         for token in tokens {
             let Some(mut conn) = self.conns.remove(&token) else {
@@ -784,7 +799,8 @@ impl EventLoop {
                         Some(t) if Instant::now() >= t => None,
                         // Still in flight (and within budget): leave
                         // parked.
-                        _ => {
+                        t => {
+                            next_give_up = earliest(next_give_up, t);
                             self.park(conn);
                             continue;
                         }
@@ -799,10 +815,14 @@ impl EventLoop {
                     // Response flushed synchronously; pipelined bytes
                     // may already hold the next request.
                     self.process_buf(&mut conn);
+                    if let ConnState::InFlight(next) = &conn.state {
+                        next_give_up = earliest(next_give_up, next.give_up);
+                    }
                 }
             }
             self.park(conn);
         }
+        next_give_up
     }
 
     /// Builds and queues the `/infer` response once its ticket
@@ -1032,5 +1052,13 @@ impl EventLoop {
             self.inflight.remove(&token);
         }
         self.open_connections.set(self.conns.len() as f64);
+    }
+}
+
+/// The earlier of two optional instants; `None` is "never".
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }

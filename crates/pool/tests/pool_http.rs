@@ -832,3 +832,32 @@ fn batch_riders_add_one_forward_time_to_replica_infer_seconds() {
     let one = format!("\n{sum}{{replica=\"0\"}} {}\n", infer_us * 1e-6);
     assert!(text.contains(&one), "expected {one:?} in {text}");
 }
+
+/// A request the engine never answers in time is abandoned at its
+/// give-up instant (budget + the 2 s engine grace) with a 503, not at
+/// the next timer tick after it: the loop sleeps exactly until the
+/// nearest deadline.
+#[test]
+fn engine_timeout_answers_503_at_the_give_up_instant() {
+    // A lone request lingers the full 3 s max_wait, so the engine is
+    // still holding it when its 10 ms budget + grace runs out.
+    let pool = start(PoolServerConfig {
+        batcher: BatcherConfig {
+            timesteps: 2,
+            max_wait: Duration::from_secs(3),
+            ..BatcherConfig::default()
+        },
+        ..config(1)
+    });
+    let input: Vec<String> = (0..64).map(|i| format!("{}", (i % 7) as f32 / 7.0)).collect();
+    let body = format!("{{\"input\":[{}],\"timeout_ms\":10}}", input.join(","));
+    let sent = std::time::Instant::now();
+    let (status, reply) = request(pool.addr(), "POST", "/infer", &body);
+    let took = sent.elapsed();
+    assert_eq!(status, 503, "reply: {reply}");
+    assert!(reply.contains("engine timed out after 2010ms"), "reply: {reply}");
+    assert!(
+        took >= Duration::from_millis(2000) && took <= Duration::from_millis(2400),
+        "503 arrived after {took:?}, want 2.0–2.4 s"
+    );
+}

@@ -158,6 +158,68 @@ fn graceful_drain_completes_inflight_and_refuses_new_connections() {
     drop(joiner.join().unwrap());
 }
 
+/// Drains a pool of one with a connection mid-request — an `/infer`
+/// in flight (`in_flight`) or a half-sent head — then times
+/// `shutdown()`. The listener is closed by then, so only the doorbell
+/// can wake the loop early.
+fn shutdown_mid_drain(in_flight: bool) -> Duration {
+    let registry = Arc::new(ModelRegistry::new(snapshot(11), "demo").unwrap());
+    let cfg = PoolServerConfig {
+        replicas: 1,
+        // The lone request lingers, so it is still in flight below.
+        batcher: BatcherConfig {
+            timesteps: 2,
+            max_wait: Duration::from_secs(3),
+            ..BatcherConfig::default()
+        },
+        drain_timeout: Duration::from_secs(5),
+        ..PoolServerConfig::default()
+    };
+    let mut server = PoolServer::start(registry, cfg).unwrap();
+    let addr = server.addr();
+    let mut client = TcpStream::connect(addr).unwrap();
+    if in_flight {
+        let body = infer_body();
+        let req = format!(
+            "POST /infer HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        client.write_all(req.as_bytes()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.metrics().received.get() == 0 {
+            assert!(Instant::now() < deadline, "request never reached the replica");
+            thread::sleep(Duration::from_millis(5));
+        }
+    } else {
+        client.write_all(b"GET /healthz HTTP/1.1\r\nHost").unwrap();
+    }
+    server.begin_drain();
+    // Once connects are refused the drain has closed the listener.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while TcpStream::connect(addr).is_ok() {
+        assert!(Instant::now() < deadline, "listener still accepting during drain");
+        thread::sleep(Duration::from_millis(5));
+    }
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    drop(client);
+    took
+}
+
+/// `shutdown()` during a drain returns at once, well inside the loop's
+/// 250 ms idle tick, whether a request is in flight or half-received.
+#[test]
+fn shutdown_mid_drain_returns_promptly() {
+    for in_flight in [true, false] {
+        let took = shutdown_mid_drain(in_flight);
+        assert!(
+            took < Duration::from_millis(100),
+            "shutdown took {took:?} mid-drain (request in flight: {in_flight})"
+        );
+    }
+}
+
 /// A client trickling its request one byte at a time must not stall
 /// anyone else: a level-triggered loop only sees the slow socket when
 /// bytes actually arrive, so fast clients keep completing, and the

@@ -69,7 +69,7 @@
 //!     Arc::new(ModelRegistry::new(NetworkSnapshot::from_network(&net), "demo").unwrap());
 //! let metrics = Arc::new(Metrics::default());
 //! let batcher =
-//!     Batcher::start(registry, BatcherConfig::default(), metrics).unwrap();
+//!     Batcher::start(registry, BatcherConfig::default(), metrics, None).unwrap();
 //! let ticket = batcher.submit(vec![1.0; 64], None).unwrap();
 //! let reply = ticket.wait().unwrap();
 //! assert_eq!(reply.output.counts.len(), 4);
@@ -98,5 +98,5 @@ pub use http::{
     MAX_HEAD,
 };
 pub use metrics::Metrics;
-pub use queue::{Batcher, BatcherConfig, InferReply, Rejection, Ticket};
+pub use queue::{Batcher, BatcherConfig, Doorbell, InferReply, Rejection, Ticket};
 pub use registry::{ModelInfo, ModelRegistry, QuantInfo, ServedModel, SwapError, SwapReceipt};

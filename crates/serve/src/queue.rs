@@ -23,9 +23,17 @@
 //!    consume compute that others could.
 //! 4. If the [`crate::ModelRegistry`] version changed, the worker
 //!    rebuilds its engine first, so a batch never mixes models.
+//!
+//! An event loop that keeps many [`Ticket`]s learns when they resolve
+//! through a [`Doorbell`]: the worker writes one byte to it after it
+//! has sent each batch's replies — served, shed at the deadline,
+//! failed by a caught panic, or drained at shutdown — so a readiness
+//! wake-up on the other end never arrives before its reply.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::io::{self, Write};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -186,13 +194,44 @@ impl Ticket {
     /// Nonblocking poll: `None` while the request is still in flight,
     /// `Some` once it resolved. Unlike [`Ticket::wait`] this takes
     /// `&mut self`, so an event loop can keep the ticket and poll it
-    /// each tick. A vanished worker reads as [`Rejection::ShuttingDown`].
+    /// whenever its [`Doorbell`] rings. A vanished worker reads as
+    /// [`Rejection::ShuttingDown`].
     pub fn try_wait(&mut self) -> Option<Result<InferReply, Rejection>> {
         match self.rx.try_recv() {
             Ok(r) => Some(r),
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(Rejection::ShuttingDown)),
         }
+    }
+}
+
+/// The write end of an event loop's wake-up socket. A batch worker
+/// rings it once after sending a batch's replies; the loop registers
+/// the read end (from [`Doorbell::pair`]) with its readiness set and
+/// polls its tickets when it becomes readable. Clones share one
+/// socket, so every replica of a pool rings the same loop.
+#[derive(Debug, Clone)]
+pub struct Doorbell(Arc<UnixStream>);
+
+impl Doorbell {
+    /// A connected doorbell and the read end to watch, both
+    /// nonblocking.
+    ///
+    /// # Errors
+    ///
+    /// The `socketpair` or `fcntl` error.
+    pub fn pair() -> io::Result<(Doorbell, UnixStream)> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Doorbell(Arc::new(tx)), rx))
+    }
+
+    /// Writes one byte. A full socket buffer (`WouldBlock`) already
+    /// holds an unread wake-up, and a closed read end has nobody left
+    /// to wake, so every error is ignored.
+    pub fn ring(&self) {
+        let _ = (&*self.0).write(&[1]);
     }
 }
 
@@ -242,7 +281,9 @@ pub struct Batcher {
 
 impl Batcher {
     /// Builds the engine from the registry's current model and starts
-    /// the worker thread.
+    /// the worker thread. With a `doorbell`, the worker rings it after
+    /// sending every batch's replies; callers that block on
+    /// [`Ticket::wait`] pass `None`.
     ///
     /// # Errors
     ///
@@ -252,6 +293,7 @@ impl Batcher {
         registry: Arc<ModelRegistry>,
         cfg: BatcherConfig,
         metrics: Arc<Metrics>,
+        doorbell: Option<Doorbell>,
     ) -> Result<Self, SnapshotError> {
         let engine_version = registry.version();
         let engine = InferenceEngine::new(&registry.current().model, cfg.timesteps)?;
@@ -285,6 +327,7 @@ impl Batcher {
                         admission,
                         engine,
                         engine_version,
+                        doorbell,
                     )
                 })
                 .expect("spawning batch worker")
@@ -445,7 +488,14 @@ fn run_worker(
     admission: Arc<AimdController>,
     engine: InferenceEngine,
     mut engine_version: u64,
+    doorbell: Option<Doorbell>,
 ) {
+    // Every exit from a pass below has already sent its replies.
+    let ring = || {
+        if let Some(bell) = &doorbell {
+            bell.ring();
+        }
+    };
     // `None` after a caught panic: the engine's scratch state may be
     // torn mid-forward-pass, so the next batch rebuilds from the
     // registry instead of trusting it.
@@ -468,9 +518,10 @@ fn run_worker(
             metrics.rejected_shutdown.add(drained.len() as u64);
             if !drained.is_empty() {
                 snn_obs::log_info!("shutdown drain", rejected = drained.len());
-            }
-            for job in drained {
-                let _ = job.tx.send(Err(Rejection::ShuttingDown));
+                for job in drained {
+                    let _ = job.tx.send(Err(Rejection::ShuttingDown));
+                }
+                ring();
             }
             return;
         }
@@ -532,6 +583,7 @@ fn run_worker(
             }
         }
         if batch.is_empty() {
+            ring();
             continue;
         }
 
@@ -622,6 +674,7 @@ fn run_worker(
                 for job in batch {
                     let _ = job.tx.send(Err(Rejection::WorkerPanic));
                 }
+                ring();
                 continue;
             }
         };
@@ -666,6 +719,7 @@ fn run_worker(
                 model_version: engine_version,
             }));
         }
+        ring();
     }
 }
 
@@ -695,7 +749,7 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new(snapshot(11), "test").unwrap());
         let metrics = Arc::new(Metrics::default());
         let batcher =
-            Batcher::start(Arc::clone(&registry), cfg, Arc::clone(&metrics)).unwrap();
+            Batcher::start(Arc::clone(&registry), cfg, Arc::clone(&metrics), None).unwrap();
         (registry, metrics, batcher)
     }
 
@@ -1015,6 +1069,7 @@ mod tests {
                 ..BatcherConfig::default()
             },
             Arc::clone(&metrics),
+            None,
         )
         .unwrap();
 
@@ -1065,5 +1120,132 @@ mod tests {
             Err(other) => panic!("unexpected rejection {other:?}"),
         }
         assert_eq!(batcher.submit(input(2), None).unwrap_err(), Rejection::ShuttingDown);
+    }
+
+    /// Riders per batch in the doorbell tests: enough that the worker
+    /// spends a measurable time sending, so a ring written before the
+    /// sends is read while the tail of the batch is still unsent.
+    const RIDERS: usize = 1024;
+
+    /// A batcher that rings a real socket pair, with the read end made
+    /// blocking (bounded) so a test can wait for the ring.
+    fn setup_with_bell(cfg: BatcherConfig) -> (Arc<Metrics>, Batcher, UnixStream) {
+        let registry = Arc::new(ModelRegistry::new(snapshot(11), "test").unwrap());
+        let metrics = Arc::new(Metrics::default());
+        let (bell, rx) = Doorbell::pair().unwrap();
+        rx.set_nonblocking(false).unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let batcher = Batcher::start(registry, cfg, Arc::clone(&metrics), Some(bell)).unwrap();
+        (metrics, batcher, rx)
+    }
+
+    fn submit_riders(batcher: &Batcher, deadline: Option<Instant>) -> Vec<Ticket> {
+        (0..RIDERS as u64).map(|i| batcher.submit(input(i), deadline).unwrap()).collect()
+    }
+
+    /// Blocks for one ring, then requires every ticket to have resolved
+    /// already: the no-lost-wake-up guarantee an event loop relies on.
+    /// Tickets are checked last-sent first.
+    fn resolved_at_ring(
+        mut rx: &UnixStream,
+        tickets: &mut [Ticket],
+    ) -> Vec<Result<InferReply, Rejection>> {
+        use std::io::Read;
+        let mut byte = [0u8; 1];
+        rx.read_exact(&mut byte).expect("the worker rings the doorbell");
+        let mut out: Vec<Result<InferReply, Rejection>> = tickets
+            .iter_mut()
+            .enumerate()
+            .rev()
+            .map(|(i, t)| {
+                t.try_wait().unwrap_or_else(|| panic!("ticket {i} unresolved at the ring"))
+            })
+            .collect();
+        out.reverse();
+        out
+    }
+
+    #[test]
+    fn doorbell_rings_after_a_served_batch() {
+        let (_m, batcher, rx) = setup_with_bell(BatcherConfig {
+            max_batch: RIDERS,
+            max_wait: Duration::from_secs(5),
+            capacity: RIDERS,
+            timesteps: 2,
+            ..BatcherConfig::default()
+        });
+        let mut tickets = submit_riders(&batcher, None);
+        for r in resolved_at_ring(&rx, &mut tickets) {
+            assert_eq!(r.unwrap().batch_size, RIDERS);
+        }
+    }
+
+    #[test]
+    fn doorbell_rings_after_a_deadline_shed() {
+        // The batch never fills, so it lingers past every deadline and
+        // the worker sheds all of it without a forward pass.
+        let (metrics, batcher, rx) = setup_with_bell(BatcherConfig {
+            max_batch: RIDERS + 1,
+            max_wait: Duration::from_millis(50),
+            capacity: RIDERS + 1,
+            timesteps: 2,
+            ..BatcherConfig::default()
+        });
+        let mut tickets = submit_riders(&batcher, Some(Instant::now() + Duration::from_millis(1)));
+        for r in resolved_at_ring(&rx, &mut tickets) {
+            assert!(matches!(r, Err(Rejection::DeadlineExceeded { .. })), "{r:?}");
+        }
+        assert_eq!(metrics.rejected_deadline.get(), RIDERS as u64);
+    }
+
+    #[test]
+    fn doorbell_rings_after_a_caught_worker_panic() {
+        let plan =
+            Arc::new(snn_fault::FaultPlan::parse("panic@serve.worker:1", 0).unwrap());
+        let _guard = snn_fault::install(plan);
+        let (_m, batcher, rx) = setup_with_bell(BatcherConfig {
+            max_batch: RIDERS,
+            max_wait: Duration::from_secs(5),
+            capacity: RIDERS,
+            timesteps: 2,
+            ..BatcherConfig::default()
+        });
+        let mut tickets = submit_riders(&batcher, None);
+        for r in resolved_at_ring(&rx, &mut tickets) {
+            assert_eq!(r.unwrap_err(), Rejection::WorkerPanic);
+        }
+    }
+
+    #[test]
+    fn doorbell_rings_after_the_shutdown_drain() {
+        let (metrics, batcher, rx) = setup_with_bell(BatcherConfig {
+            capacity: RIDERS,
+            timesteps: 2,
+            ..BatcherConfig::default()
+        });
+        // Queue the jobs and raise the flag in one critical section, so
+        // the worker next sees them with shutdown already set: it must
+        // drain them, not serve them.
+        let mut tickets: Vec<Ticket> = Vec::with_capacity(RIDERS);
+        {
+            let mut st = batcher.shared.lock();
+            for i in 0..RIDERS as u64 {
+                let (tx, rx) = mpsc::channel();
+                st.jobs.push_back(Job {
+                    input: input(i),
+                    deadline: None,
+                    enqueued: Instant::now(),
+                    trace: None,
+                    tx,
+                });
+                tickets.push(Ticket { rx });
+            }
+            st.shutdown = true;
+        }
+        batcher.shared.wake.notify_all();
+        for r in resolved_at_ring(&rx, &mut tickets) {
+            assert_eq!(r.unwrap_err(), Rejection::ShuttingDown);
+        }
+        assert_eq!(metrics.rejected_shutdown.get(), RIDERS as u64);
     }
 }

@@ -281,6 +281,16 @@ rm -f "$bench_json"
 trap - EXIT
 echo "ci.sh: event-datapath bench smoke test passed"
 
+# The checked-in reports are what README and DESIGN quote: validate
+# their structure (schema, provenance, section layout) so a hand edit
+# or a stale generator cannot leave a malformed one behind. No
+# thresholds here; the smoke run above carries the gates.
+for report in BENCH_serve.json BENCH_kernels.json; do
+  target/release/snn obs-check --bench "$report" \
+    || { echo "ci.sh: obs-check rejected the checked-in $report" >&2; exit 1; }
+done
+echo "ci.sh: checked-in bench reports are well-formed"
+
 # Scale-out serving smoke gate: boot the pooled front end (2 engine
 # replicas behind the single-threaded epoll loop), require /healthz to
 # report both replica breakers, drive a short open-loop burst at a rate
