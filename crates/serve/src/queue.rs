@@ -490,7 +490,8 @@ fn run_worker(
     mut engine_version: u64,
     doorbell: Option<Doorbell>,
 ) {
-    // Every exit from a pass below has already sent its replies.
+    // Called at each exit from a pass, after that pass's replies are
+    // sent: a wake-up must never reach the loop before its reply.
     let ring = || {
         if let Some(bell) = &doorbell {
             bell.ring();
