@@ -45,6 +45,21 @@ fn wrapping_add_counted(a: i32, b: i32, wraps: &mut i32) -> i32 {
     sum
 }
 
+/// The loop of [`Rescale::apply_row`] and [`Rescale::apply_zip`], for
+/// a shared factor or one per element.
+#[inline(always)]
+fn rescale_lanes(row: &mut [i32], rescale: impl Iterator<Item = Rescale>) {
+    for (a, rs) in row.iter_mut().zip(rescale) {
+        let (mult, shift) = (rs.mult as u32 as u64, rs.shift);
+        let half = (1u64 << shift) >> 1;
+        let sign = *a >> 31;
+        let wide = (a.unsigned_abs() as u64 * mult + half) >> shift;
+        let limit = i32::MAX as u32 + (sign & 1) as u32;
+        let mag = if wide >> 31 == 0 { wide as u32 } else { limit };
+        *a = (mag as i32 ^ sign).wrapping_sub(sign);
+    }
+}
+
 /// A positive real factor `r` encoded as `mult / 2^shift`, applied to
 /// `i32` accumulators with rounding and a single saturating cast.
 ///
@@ -118,15 +133,19 @@ impl Rescale {
     /// to `2^31 − 1` (or `2^31` for a negative `acc`) by one test of
     /// its bits above 31, and the sign is put back with a mask.
     pub fn apply_row(&self, row: &mut [i32]) {
-        let (mult, shift) = (self.mult as u32 as u64, self.shift);
-        let half = (1u64 << shift) >> 1;
-        for a in row {
-            let sign = *a >> 31;
-            let wide = (a.unsigned_abs() as u64 * mult + half) >> shift;
-            let limit = i32::MAX as u32 + (sign & 1) as u32;
-            let mag = if wide >> 31 == 0 { wide as u32 } else { limit };
-            *a = (mag as i32 ^ sign).wrapping_sub(sign);
-        }
+        rescale_lanes(row, std::iter::repeat(*self));
+    }
+
+    /// [`Rescale::apply_row`] with one factor per element: `row[i]`
+    /// is rescaled by `rescale[i]` (a dense stage, whose neurons are
+    /// each their own channel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rescale` and `row` differ in length.
+    pub fn apply_zip(rescale: &[Rescale], row: &mut [i32]) {
+        assert_eq!(rescale.len(), row.len(), "one rescale per element");
+        rescale_lanes(row, rescale.iter().copied());
     }
 
     /// The real factor this encodes (for diagnostics and tests).

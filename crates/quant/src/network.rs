@@ -132,7 +132,7 @@ impl Neurons {
             for (r, arow) in (r0..).zip(rows.chunks_exact_mut(row)) {
                 match &rescale[Self::params(span, rescale.len(), r)] {
                     [shared] => shared.apply_row(arow),
-                    own => arow.iter_mut().zip(own).for_each(|(a, rs)| *a = rs.apply(*a)),
+                    own => Rescale::apply_zip(own, arow),
                 }
             }
         });

@@ -6,8 +6,9 @@
 //!    bounded by half a quantization step per value.
 //! 2. **Saturation** — casts clamp (never wrap, never produce
 //!    `i8::MIN`), including i32 accumulators near overflow, and the
-//!    row requantize ([`Rescale::apply_row`]) equals the scalar
-//!    [`Rescale::apply`] on every accumulator.
+//!    row requantize ([`Rescale::apply_row`], and
+//!    [`Rescale::apply_zip`] with a factor per element) equals the
+//!    scalar [`Rescale::apply`] on every accumulator.
 //! 3. **Fixed-point LIF** — the integer membrane trajectory tracks
 //!    the f32 reference within a stated, derived tolerance, the
 //!    runtime's row kernel ([`FixedLif::step_row`]) equals the scalar
@@ -220,6 +221,24 @@ fn rescale_row_matches_apply_on_edges() {
             for (&acc, &got) in EDGES.iter().zip(&row) {
                 assert_eq!(got, rs.apply(acc), "{rs:?} on {acc}");
             }
+        }
+    }
+}
+
+/// [`Rescale::apply_zip`] equals [`Rescale::apply`] element by
+/// element when every element has its own factor: each edge
+/// accumulator meets every shift and edge multiplier.
+#[test]
+fn rescale_zip_matches_apply_on_edges() {
+    let mults = [0, 1, 3, 1 << 22, (1 << 23) - 1, i32::MAX];
+    let factors: Vec<Rescale> = (0..=62u32)
+        .flat_map(|shift| mults.iter().map(move |&mult| Rescale { mult, shift }))
+        .collect();
+    for acc in EDGES {
+        let mut row = vec![acc; factors.len()];
+        Rescale::apply_zip(&factors, &mut row);
+        for (rs, &got) in factors.iter().zip(&row) {
+            assert_eq!(got, rs.apply(acc), "{rs:?} on {acc}");
         }
     }
 }

@@ -19,7 +19,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize, Value};
 
 use snn_core::{NetworkSnapshot, SnapshotError};
 use snn_quant::{QuantError, QuantizedSnapshot};
@@ -127,18 +127,26 @@ impl ServedModel {
     /// Returns [`SnapshotError::Malformed`] for undecodable bodies and
     /// whatever validation finds for decodable-but-broken ones.
     pub fn from_json(text: &str) -> Result<ServedModel, SnapshotError> {
+        // One parse serves both the sniff and the decode.
+        let value =
+            serde_json::parse(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
         let looks_quantized = matches!(
-            serde_json::parse(text),
-            Ok(serde::Value::Object(ref entries))
+            &value,
+            Value::Object(entries)
                 if entries.iter().any(|(k, _)| k == "format" || k == "stages")
                     && !entries.iter().any(|(k, _)| k == "layers")
         );
-        if looks_quantized {
-            let q = QuantizedSnapshot::from_json(text).map_err(quant_error)?;
-            Ok(ServedModel::Int8(q))
+        let model = if looks_quantized {
+            let q = QuantizedSnapshot::from_value(&value)
+                .map_err(|e| quant_error(QuantError::Malformed(e.to_string())))?;
+            ServedModel::Int8(q)
         } else {
-            Ok(ServedModel::F32(NetworkSnapshot::from_json(text)?))
-        }
+            let s = NetworkSnapshot::from_value(&value)
+                .map_err(|e| SnapshotError::Malformed(e.to_string()))?;
+            ServedModel::F32(s)
+        };
+        model.validate()?;
+        Ok(model)
     }
 }
 

@@ -19,14 +19,15 @@ cd "$(dirname "$0")/.."
 # release `snn` binary to be current.
 cargo build --workspace --release --offline
 # Root-package integration suites (tier-1), plus the fast member-crate
-# suites for the serving stack, the accelerator simulator and the
+# suites for the serving stack, the accelerator simulator, the JSON
+# parser every snapshot and request body goes through, and the
 # bit-exactness suites (snn-quant, and snn-tensor's qmat_exactness,
 # event_exactness and pool_exactness alone). The remaining member
 # suites (the rest of tensor, data, dse, bench) are much slower —
 # dse's training sweeps alone take ~35 min on one core — and are left to
 # `cargo test --workspace` outside the gate.
 cargo test -q --offline
-cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-quant -p snn-accel
+cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-quant -p snn-accel -p serde_json
 cargo test -q --offline -p snn-tensor --test qmat_exactness
 cargo test -q --offline -p snn-tensor --test event_exactness
 cargo test -q --offline -p snn-tensor --test pool_exactness
