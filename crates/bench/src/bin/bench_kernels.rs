@@ -9,8 +9,9 @@
 //! Two sections:
 //!
 //! * **Thread scaling** — times the three hot-path kernels
-//!   (`conv2d_forward`, the dense-layer GEMM `matmul_nt`, the
-//!   elementwise LIF step) at 1/2/4/8 threads, on dense real-valued
+//!   (`conv2d_forward`, the `x · Wᵀ` GEMM as `matmul_nt` and as the
+//!   dense layers run it, `matmul` over a pre-transposed `Wᵀ`, and
+//!   the elementwise LIF step) at 1/2/4/8 threads, on dense real-valued
 //!   operands and on 90%-sparse binary spike operands. Thread counts
 //!   are forced with [`par::set_num_threads`], overriding
 //!   `SNN_NUM_THREADS`; rows where the requested worker count exceeds
@@ -18,7 +19,7 @@
 //!   timings show scheduling overhead, not speedup.
 //! * **Density sweep** — times the event-driven datapath against the
 //!   dense route at input sparsities 50/75/90/95/99%, serially, for
-//!   conv2d (dispatcher-forced routes, f32 and int8), the dense-layer
+//!   conv2d (dispatcher-forced routes, f32 and int8), `matmul_nt`'s
 //!   spike-gather GEMM, the masked LIF step, and two end-to-end
 //!   network forward passes (adaptive dispatch vs pinned dense): a
 //!   small conv net on frames that change every timestep, and the
@@ -254,12 +255,19 @@ struct Int8GemmBench {
     m: usize,
     k: usize,
     n: usize,
+    /// The f32 kernel `f32_seconds` times.
+    f32_kernel: &'static str,
     /// f32 `matmul_nt` on dense analog operands, serial best-of-reps.
     f32_seconds: f64,
     /// `qgemm_into` (i8 weights × dense level-coded u8), serial.
     int8_seconds: f64,
     /// `f32_seconds / int8_seconds`.
     int8_speedup: f64,
+    /// The same product on the path the f32 dense layers run:
+    /// `matmul(x, Wᵀ)` with `Wᵀ` transposed once, outside the timing.
+    f32_layer_seconds: f64,
+    /// `f32_layer_seconds / int8_seconds`.
+    int8_speedup_vs_layer: f64,
 }
 
 #[derive(Serialize)]
@@ -297,6 +305,14 @@ struct GemmBench {
     /// Serial dense time over serial 90%-sparse time; must exceed 1
     /// for the sparse path to pay off at this sparsity.
     sparse_path_speedup_serial: f64,
+    /// The dense layers' forward path on the same operands:
+    /// `matmul(x, Wᵀ)` with `Wᵀ` transposed once, outside the timing.
+    pretransposed_dense: ScalingResult,
+    pretransposed_sparse90: ScalingResult,
+    /// Serial `matmul_nt` time over serial pre-transposed time, dense
+    /// and 90%-sparse inputs: what the layout buys.
+    pretransposed_speedup_serial_dense: f64,
+    pretransposed_speedup_serial_sparse90: f64,
 }
 
 #[derive(Serialize)]
@@ -396,8 +412,26 @@ fn bench_gemm(reps: usize, host: usize, sz: &Sizes) -> GemmBench {
     let sparse90 = scale_over_threads(reps, host, || {
         let _ = linalg::matmul_nt(&a_sparse, &b).expect("valid shapes");
     });
-    let sparse_path_speedup_serial = dense.seconds[0] / sparse90.seconds[0];
-    GemmBench { m, k, n, dense, sparse90, sparse_path_speedup_serial }
+    let bt = linalg::transpose(&b).expect("rank 2");
+    let pretransposed_dense = scale_over_threads(reps, host, || {
+        let _ = linalg::matmul(&a_dense, &bt).expect("valid shapes");
+    });
+    let pretransposed_sparse90 = scale_over_threads(reps, host, || {
+        let _ = linalg::matmul(&a_sparse, &bt).expect("valid shapes");
+    });
+    GemmBench {
+        m,
+        k,
+        n,
+        sparse_path_speedup_serial: dense.seconds[0] / sparse90.seconds[0],
+        pretransposed_speedup_serial_dense: dense.seconds[0] / pretransposed_dense.seconds[0],
+        pretransposed_speedup_serial_sparse90: sparse90.seconds[0]
+            / pretransposed_sparse90.seconds[0],
+        dense,
+        sparse90,
+        pretransposed_dense,
+        pretransposed_sparse90,
+    }
 }
 
 fn lif_config() -> LifConfig {
@@ -527,13 +561,19 @@ fn sweep_conv_int8(reps: usize, sz: &Sizes) -> Int8ConvDensitySweep {
     }
 }
 
-/// Dense int8 GEMM vs dense f32 GEMM, same multiply count, serial.
+/// Dense int8 GEMM vs dense f32 GEMM, same multiply count, serial:
+/// against `matmul_nt` (the gated `int8_speedup`) and against the
+/// dense layers' pre-transposed `matmul`.
 fn bench_int8_gemm(reps: usize, sz: &Sizes) -> Int8GemmBench {
     let (m, k, n) = sz.gemm;
     let a_dense = lcg_tensor(Shape::d2(m, k), 23, 1.0);
     let b = lcg_tensor(Shape::d2(n, k), 31, 0.3);
     let f32_seconds = time_serial(reps, || {
         let _ = linalg::matmul_nt(&a_dense, &b).expect("valid shapes");
+    });
+    let bt = linalg::transpose(&b).expect("rank 2");
+    let f32_layer_seconds = time_serial(reps, || {
+        let _ = linalg::matmul(&a_dense, &bt).expect("valid shapes");
     });
     let w = lcg_i8(m * k, 71);
     let x = level_u8(k * n, 73);
@@ -542,7 +582,17 @@ fn bench_int8_gemm(reps: usize, sz: &Sizes) -> Int8GemmBench {
         acc.fill(0);
         qgemm_into(&w, &x, &mut acc, m, k, n);
     });
-    Int8GemmBench { m, k, n, f32_seconds, int8_seconds, int8_speedup: f32_seconds / int8_seconds }
+    Int8GemmBench {
+        m,
+        k,
+        n,
+        f32_kernel: "matmul_nt",
+        f32_seconds,
+        int8_seconds,
+        int8_speedup: f32_seconds / int8_seconds,
+        f32_layer_seconds,
+        int8_speedup_vs_layer: f32_layer_seconds / int8_seconds,
+    }
 }
 
 /// GEMM density sweep: binary LHS at each density (spike-gather path)
@@ -786,10 +836,20 @@ fn main() {
     print_scaling("dense   ", &gemm.dense);
     print_scaling("sparse90", &gemm.sparse90);
     println!(
-        "  4-thread speedup: dense {:.2}x, sparse {:.2}x; sparse-path gain (serial): {:.2}x\n",
+        "  4-thread speedup: dense {:.2}x, sparse {:.2}x; sparse-path gain (serial): {:.2}x",
         gemm.dense.speedup_4_threads,
         gemm.sparse90.speedup_4_threads,
         gemm.sparse_path_speedup_serial
+    );
+    println!(
+        "matmul {}x{} * {}x{} (W^T pre-transposed, the dense layers' path):",
+        gemm.m, gemm.k, gemm.k, gemm.n
+    );
+    print_scaling("dense   ", &gemm.pretransposed_dense);
+    print_scaling("sparse90", &gemm.pretransposed_sparse90);
+    println!(
+        "  serial speedup over matmul_nt: dense {:.2}x, sparse {:.2}x\n",
+        gemm.pretransposed_speedup_serial_dense, gemm.pretransposed_speedup_serial_sparse90
     );
 
     let int8_gemm = bench_int8_gemm(reps, &sizes);
@@ -798,10 +858,16 @@ fn main() {
         int8_gemm.m, int8_gemm.k, int8_gemm.k, int8_gemm.n
     );
     println!(
-        "  f32 {:>9.3} ms   int8 {:>9.3} ms   int8 speedup {:.2}x\n",
+        "  f32 {} {:>9.3} ms   int8 {:>9.3} ms   int8 speedup {:.2}x",
+        int8_gemm.f32_kernel,
         int8_gemm.f32_seconds * 1e3,
         int8_gemm.int8_seconds * 1e3,
         int8_gemm.int8_speedup
+    );
+    println!(
+        "  f32 layer path {:>9.3} ms   int8 speedup over it {:.2}x\n",
+        int8_gemm.f32_layer_seconds * 1e3,
+        int8_gemm.int8_speedup_vs_layer
     );
 
     let lif = bench_lif(reps, host, &sizes);

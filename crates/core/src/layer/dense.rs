@@ -35,6 +35,24 @@ pub struct SpikingDense {
     carry_u: Option<Tensor>,
     total_spikes: f64,
     neuron_steps: f64,
+    /// `weightᵀ` for the forward GEMM; kept across sequences.
+    transposed: Option<TransposeMemo>,
+}
+
+/// `Wᵀ` (`[in_features, out_features]`) and the weight it was built
+/// from, so the forward pass runs the `i → k → j` [`linalg::matmul`]
+/// (zero inputs skipped, output features vectorized) without
+/// transposing at every step.
+///
+/// The weight is matched by [`Tensor::same_storage`], as in the conv
+/// layer's memo: the held clone shares the weight's storage, so any
+/// write through the public `weight` field detaches a copy first and
+/// the next step sees a different storage and transposes again. A
+/// stale `Wᵀ` is never used.
+#[derive(Debug, Clone)]
+struct TransposeMemo {
+    weight: Tensor,
+    weight_t: Tensor,
 }
 
 impl SpikingDense {
@@ -70,6 +88,7 @@ impl SpikingDense {
             carry_u: None,
             total_spikes: 0.0,
             neuron_steps: 0.0,
+            transposed: None,
         }
     }
 
@@ -101,8 +120,11 @@ impl SpikingDense {
             "dense input shape mismatch in {}",
             self.name
         );
-        let mut current =
-            linalg::matmul_nt(input, &self.weight).expect("shape checked above");
+        // Bitwise equal to `matmul_nt(input, &self.weight)` for finite
+        // weights: each output adds its nonzero terms in ascending
+        // input order from `+0.0` either way (see `linalg` on
+        // exactness).
+        let mut current = linalg::matmul(input, self.weight_t()).expect("shape checked above");
         linalg::add_bias_rows(&mut current, &self.bias).expect("bias shape invariant");
         let out_shape = Shape::d2(batch, self.out_features);
         let state = self.state.get_or_insert_with(|| LifState::new(out_shape));
@@ -122,6 +144,23 @@ impl SpikingDense {
         s
     }
 
+    /// `weightᵀ`, transposed again only when `weight` has changed
+    /// storage since the last call (see [`TransposeMemo`]).
+    fn weight_t(&mut self) -> &Tensor {
+        if self.transposed.as_ref().is_some_and(|m| !m.weight.same_storage(&self.weight)) {
+            // Free the stale transpose before allocating the new one.
+            self.transposed = None;
+        }
+        let weight = &self.weight;
+        &self
+            .transposed
+            .get_or_insert_with(|| TransposeMemo {
+                weight: weight.clone(),
+                weight_t: linalg::transpose(weight).expect("weight is rank 2"),
+            })
+            .weight_t
+    }
+
     pub(crate) fn backward_step(&mut self, t: usize, grad_output: &Tensor) -> Tensor {
         assert!(self.train, "backward_step requires a training-mode forward pass");
         let u = &self.cached_membranes[t];
@@ -139,6 +178,9 @@ impl SpikingDense {
     }
 
     pub(crate) fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        // Release the memo's clone of the weight, so an optimizer
+        // writes it in place instead of detaching a copy.
+        self.transposed = None;
         vec![
             ParamMut {
                 name: format!("{}.weight", self.name),

@@ -236,7 +236,8 @@ pub fn col2im(g: &Conv2dGeometry, cols: &[f32], grad_input: &mut [f32]) {
 
 /// Reusable workspace for [`conv2d_forward_with`] and
 /// [`conv2d_backward_with`]: per-worker im2col buffers, column
-/// gradients, and the spike index of the backward dW gather.
+/// gradients, the spike index of the backward dW gather, and the
+/// event route's weight tiles.
 ///
 /// A layer that owns one of these allocates its buffers on the first
 /// timestep and reuses them for the rest of the sequence (and for
@@ -252,6 +253,9 @@ pub struct ConvScratch {
     /// valid only when [`conv2d_forward_routed`] returned
     /// [`ConvRoute::Event`].
     touch: TouchMask,
+    /// Event-route weight tiles, rebuilt on every event-route call
+    /// and read by all workers (see [`build_event_tiles`]).
+    wt_tiles: Vec<f32>,
 }
 
 impl ConvScratch {
@@ -288,10 +292,6 @@ struct ConvBufs {
     /// Weight rows feeding each output position, in original (i.e.
     /// ascending-row) tap order.
     pos_rows: Vec<u32>,
-    /// Weight tile for the event route: a channel group's rows
-    /// interleaved `[row][lane]` so the gather loop loads one
-    /// contiguous lane group per weight row.
-    wt_quad: Vec<f32>,
 }
 
 /// Density bound for the backward pass's dW product to gather over a
@@ -413,6 +413,8 @@ pub fn conv2d_forward_routed(
         let event_macs = (scan.nnz as f64 / n as f64 * g.spike_fanout()) as usize;
         let min_items = par::min_granules_for(2 * event_macs);
         let plane = oh * ow;
+        build_event_tiles(g, wv, &mut scratch.wt_tiles);
+        let tiles = &scratch.wt_tiles;
         let spikes = &scratch.input_spikes;
         let touched = scratch.touch.reset_bytes(n, plane);
         par::for_each_block2_with(
@@ -429,11 +431,11 @@ pub fn conv2d_forward_routed(
                         g,
                         spikes.item(item0 + i),
                         wv,
+                        tiles,
                         out_item,
                         &mut bufs.taps,
                         &mut bufs.pos_ptr,
                         &mut bufs.pos_rows,
-                        &mut bufs.wt_quad,
                         &mut tblock[i * plane..(i + 1) * plane],
                     );
                     add_item_bias(&bias_local, out_item, plane);
@@ -481,6 +483,31 @@ fn add_item_bias(bias: &[f32], out_item: &mut [f32], plane: usize) {
     }
 }
 
+/// Output channels per event-route gather sweep.
+const LANES: usize = 8;
+
+/// Lays `wv`'s full `LANES`-channel groups out for the event route:
+/// group `q`'s rows interleaved `[row][lane]` at
+/// `tiles[q·LANES·col_rows..]`, so a weight row of the group is one
+/// contiguous `LANES`-wide load. Channels past the last full group
+/// are left out (the gather reads their `wv` rows directly). The
+/// values are copies, so the event route's sums do not change.
+fn build_event_tiles(g: &Conv2dGeometry, wv: &[f32], tiles: &mut Vec<f32>) {
+    let col_rows = g.col_rows();
+    let full = g.out_channels / LANES * LANES;
+    tiles.clear();
+    tiles.resize(full * col_rows, 0.0);
+    for (tile, wgroup) in
+        tiles.chunks_exact_mut(LANES * col_rows).zip(wv.chunks_exact(LANES * col_rows))
+    {
+        for (lane, w) in wgroup.chunks_exact(col_rows).enumerate() {
+            for (row, &val) in w.iter().enumerate() {
+                tile[row * LANES + lane] = val;
+            }
+        }
+    }
+}
+
 /// Event-driven convolution of one batch item.
 ///
 /// Phase 1 walks the item's active positions in memory order and
@@ -493,9 +520,10 @@ fn add_item_bias(bias: &[f32], out_item: &mut [f32], plane: usize) {
 /// and phase 2 gathers: for each touched output position, the active
 /// rows' weights are summed into registers and stored once (the
 /// `× 1.0` spike factor is elided, exactly). Output channels are
-/// processed eight at a time against a `[row][lane]`-interleaved
-/// weight tile, so every weight row costs one contiguous 8-lane load
-/// and the eight accumulation chains stay independent.
+/// processed eight at a time against their group's tile in `tiles`
+/// (built once per call by [`build_event_tiles`]), so every weight
+/// row costs one contiguous 8-lane load and the eight accumulation
+/// chains stay independent; the leftover channels read `wv` rows.
 ///
 /// **Ordering:** for any fixed output element, ascending pixel order
 /// maps to ascending `row` order (for fixed `oy`, `ky = iy + pad −
@@ -516,11 +544,11 @@ fn conv_event_item(
     g: &Conv2dGeometry,
     active: &[u32],
     wv: &[f32],
+    tiles: &[f32],
     out_item: &mut [f32],
     taps: &mut Vec<(u32, u32)>,
     pos_ptr: &mut Vec<u32>,
     pos_rows: &mut Vec<u32>,
-    wt_quad: &mut Vec<f32>,
     touched: &mut [u8],
 ) {
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -602,18 +630,8 @@ fn conv_event_item(
     // contract), so wide groups are what buy instruction-level
     // parallelism: eight independent chains keep the FP adders busy
     // where one would stall on latency.
-    const LANES: usize = 8;
     let mut groups = out_item.chunks_exact_mut(LANES * plane);
-    let mut oc = 0usize;
-    for group in groups.by_ref() {
-        wt_quad.clear();
-        wt_quad.resize(LANES * col_rows, 0.0);
-        for lane in 0..LANES {
-            let w = &wv[(oc + lane) * col_rows..(oc + lane + 1) * col_rows];
-            for (row, &val) in w.iter().enumerate() {
-                wt_quad[row * LANES + lane] = val;
-            }
-        }
+    for (group, tile) in groups.by_ref().zip(tiles.chunks_exact(LANES * col_rows)) {
         for p in 0..plane {
             let (s, e) = (pos_ptr[p] as usize, pos_ptr[p + 1] as usize);
             if s == e {
@@ -621,7 +639,7 @@ fn conv_event_item(
             }
             let mut acc = [0.0f32; LANES];
             for &row in &pos_rows[s..e] {
-                let w = &wt_quad[row as usize * LANES..row as usize * LANES + LANES];
+                let w = &tile[row as usize * LANES..row as usize * LANES + LANES];
                 for (a, &wl) in acc.iter_mut().zip(w) {
                     *a += wl;
                 }
@@ -630,8 +648,8 @@ fn conv_event_item(
                 group[lane * plane + p] = a;
             }
         }
-        oc += LANES;
     }
+    let mut oc = tiles.len() / col_rows;
     for oplane in groups.into_remainder().chunks_exact_mut(plane) {
         let w0 = &wv[oc * col_rows..(oc + 1) * col_rows];
         for (p, slot) in oplane.iter_mut().enumerate() {

@@ -5,10 +5,14 @@
 //! any target. The inner loops are arranged `i → k → j` so the
 //! innermost accesses are contiguous in both `B` and `C`, which lets
 //! LLVM auto-vectorize them. The matrix products split their output
-//! rows across the scoped-thread pool in [`crate::par`], and binary
-//! spike operands of [`matmul_nt`] take a sparse gather path.
-//! [`SpikeIndex`] is the row index the conv backward pass gathers its
-//! dW product over.
+//! rows across the scoped-thread pool in [`crate::par`]. The dense
+//! layers' forward `x · Wᵀ` runs [`matmul`] over a `Wᵀ` the layer
+//! transposes once and keeps: its `i → k → j` loop skips zero
+//! activations and vectorizes over the output features. [`matmul_nt`]
+//! computes the same product from `W` directly, one dot product per
+//! output (binary spike operands take a sparse gather path); it is
+//! the reference the layer is tested against. [`SpikeIndex`] is the
+//! row index the conv backward pass gathers its dW product over.
 //!
 //! # Exactness
 //!
@@ -26,6 +30,12 @@
 //!   exact cancellation of nonzero terms), so `acc + ±0.0 == acc`
 //!   bitwise and dropping the term is a no-op. The kept terms are
 //!   `a * 1.0 == a`, exactly.
+//! * Hence `matmul(a, &transpose(b))` equals `matmul_nt(a, b)` bitwise
+//!   for finite `b`: both start each output at `+0.0` and add its
+//!   terms in ascending inner-index order; `matmul` skips the terms
+//!   whose `a` factor is `±0.0`, and `matmul_nt` adds them as `±0.0`
+//!   (or, on a spike row, adds the `1.0 · b` terms as `b`). A
+//!   non-finite `b` entry breaks the equality: `0.0 · ∞` is NaN.
 
 use crate::error::{Result, TensorError};
 use crate::kobs::DensityGauge;

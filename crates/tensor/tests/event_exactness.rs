@@ -160,6 +160,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One `ConvScratch` serves two event-route calls whose weights
+    /// differ but share a geometry with full 8-channel groups and a
+    /// remainder; each call equals the dense route on its own weights
+    /// bitwise, so the event route's weight tiles are never carried
+    /// over from an earlier call.
+    #[test]
+    fn event_conv_reused_scratch_sees_new_weights(
+        batch in 1usize..3, cin in 1usize..3, cout in 8usize..20,
+        hw in 3usize..7, threads_idx in 0usize..2,
+        seed in 0u64..500,
+    ) {
+        let threads = [1usize, 4][threads_idx];
+        let g = Conv2dGeometry::new(cin, cout, 3, 1, 1, hw, hw).unwrap();
+        let x = spike_tensor(Shape::d4(batch, cin, hw, hw), seed, 20);
+        let b = lcg_tensor(Shape::d1(cout), seed + 17, 0.1);
+        let mut shared = ConvScratch::new();
+        for w_seed in [seed + 13, seed + 29] {
+            let w = lcg_tensor(g.weight_shape(), w_seed, 0.3);
+            let (want, _) = with_event_density_threshold(-1.0, || {
+                conv2d_forward_routed(&g, &x, &w, &b, &mut ConvScratch::new()).unwrap()
+            });
+            let (got, route) = with_event_density_threshold(1.0, || {
+                par::with_num_threads(threads, || {
+                    conv2d_forward_routed(&g, &x, &w, &b, &mut shared).unwrap()
+                })
+            });
+            prop_assert_eq!(route, ConvRoute::Event);
+            prop_assert_eq!(bits(&got), bits(&want), "weights seeded {}", w_seed);
+        }
+    }
+}
+
 /// All-ones input through a 1×1 kernel at stride 1: the event route
 /// degenerates to one tap per pixel and must still match dense
 /// bitwise (the densest possible event dispatch).

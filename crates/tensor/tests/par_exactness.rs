@@ -76,11 +76,11 @@ proptest! {
         }
     }
 
-    /// `matmul_nt` (the dense-layer forward kernel) is bitwise
-    /// invariant across thread counts and across the sparse/dense path
-    /// switch: binary spike operands at any density — including
-    /// all-zero and all-one — give the same bits as the naive
-    /// reference.
+    /// `matmul_nt` (the reference the dense-layer forward is tested
+    /// against) is bitwise invariant across thread counts and across
+    /// the sparse/dense path switch: binary spike operands at any
+    /// density — including all-zero and all-one — give the same bits
+    /// as the naive reference.
     #[test]
     fn matmul_nt_sparse_and_threads_invariant(
         m in 1usize..16, k in 1usize..24, n in 1usize..16,

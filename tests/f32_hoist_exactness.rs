@@ -1,19 +1,23 @@
 //! The f32 forward pass computes a convolution's current once when
 //! consecutive timesteps present the same input tensor (direct
-//! coding), and steps LIF state in place. Both must be invisible in
-//! the numbers.
+//! coding), steps LIF state in place, and runs each dense layer as
+//! `x · Wᵀ` through a transpose of `W` it keeps until the weight
+//! changes. All three must be invisible in the numbers.
 //!
 //! Each property runs the network on clones of one frame (which
 //! share storage, so the hoist applies) and on deep copies (which
 //! share none, so every step runs the full convolution), and checks
 //! both against a reference executor built from the kernels: one
-//! full convolution per step and fresh state tensors for every LIF
-//! step.
+//! full convolution and one `matmul_nt` per step and fresh state
+//! tensors for every LIF step.
 
 use proptest::prelude::*;
 
+use snn_core::layer::SpikingDense;
 use snn_core::neuron::{lif_backward_step, lif_step, LifState};
-use snn_core::{Layer, LifConfig, ResetMode, SpikingNetwork, Surrogate};
+use snn_core::{
+    Layer, LifConfig, Optimizer, OptimizerKind, ResetMode, SpikingNetwork, Surrogate,
+};
 use snn_tensor::conv::{conv2d_backward, conv2d_forward};
 use snn_tensor::linalg::{add_bias_rows, matmul, matmul_nt, matmul_tn, sum_rows};
 use snn_tensor::pool::{maxpool2d_backward, maxpool2d_forward};
@@ -48,6 +52,24 @@ fn frame(batch: usize, c: usize, side: usize, density: f32, seed: u64) -> Tensor
             v
         } else {
             0.0
+        }
+    })
+}
+
+/// A `[batch, c, side, side]` analog frame for dense-first networks:
+/// about three quarters of the entries are nonzero, of either sign,
+/// and the zeros are split between `+0.0` and `-0.0`.
+fn analog_frame(batch: usize, c: usize, side: usize, seed: u64) -> Tensor {
+    let mut next = lcg(seed);
+    Tensor::from_fn(Shape::d4(batch, c, side, side), |_| {
+        let r = next();
+        let v = next() - 0.5;
+        if r < 0.125 {
+            0.0
+        } else if r < 0.25 {
+            -0.0
+        } else {
+            v
         }
     })
 }
@@ -404,5 +426,116 @@ proptest! {
             (bits(&s0), bits(&s1), net.activities())
         };
         prop_assert_eq!(run([x.clone(), x.clone()]), run([deep(&x), deep(&x)]));
+    }
+
+    /// Dense-first networks on analog frames: the first dense layer's
+    /// rows are mostly nonzero, of both signs, with `±0.0` zeros, so
+    /// it runs the non-spike path, which must equal `matmul_nt`
+    /// bitwise; the second dense layer sees spikes.
+    #[test]
+    fn dense_first_analog_frames_match_reference(
+        c in 1usize..3,
+        half_side in 1usize..4,
+        batch in 1usize..4,
+        timesteps in 1usize..5,
+        beta in 0.0f32..=1.0,
+        theta in 0.05f32..1.0,
+        zero_reset in any::<bool>(),
+        detach in any::<bool>(),
+        seed in 0u64..10_000,
+    ) {
+        let side = 2 * half_side;
+        let net = network(2, c, side, lif(beta, theta, zero_reset, detach), seed);
+        let frames: Vec<Tensor> = (0..timesteps as u64)
+            .map(|t| analog_frame(batch, c, side, seed.wrapping_add(t)))
+            .collect();
+        for threads in [1, 2] {
+            par::with_num_threads(threads, || check_against_reference(&net, &frames, seed))?;
+        }
+    }
+
+    /// A dense layer's weight rewritten between two steps, or between
+    /// two sequences, takes effect at the next step, whether it is
+    /// written in place through the public field, replaced by a new
+    /// tensor, or updated by an optimizer step through `params_mut`.
+    #[test]
+    fn dense_weight_edit_between_steps_takes_effect(
+        how in 0usize..3,
+        between_sequences in any::<bool>(),
+        seed in 0u64..10_000,
+    ) {
+        let cfg = lif(0.5, 0.3, false, true);
+        let mut layer = Layer::SpikingDense(SpikingDense::new("fc", 12, 16, cfg, seed));
+        let mut next = lcg(seed ^ 0x5eed);
+        let mut spikes = |density: f32| {
+            Tensor::from_fn(Shape::d2(3, 12), |_| f32::from(u8::from(next() < density)))
+        };
+        let (x0, x1) = (spikes(0.4), spikes(0.3));
+        let edit = |layer: &mut Layer| {
+            let mut next = lcg(seed ^ 0xed17);
+            match how {
+                0 => dense(layer)
+                    .weight
+                    .as_mut_slice()
+                    .iter_mut()
+                    .for_each(|w| *w *= -1.5),
+                1 => {
+                    let w = &mut dense(layer).weight;
+                    *w = Tensor::from_fn(w.shape(), |_| next() - 0.5);
+                }
+                _ => {
+                    let mut params = layer.params_mut();
+                    for p in params.iter_mut() {
+                        p.grad.as_mut_slice().iter_mut().for_each(|g| *g = next() - 0.5);
+                    }
+                    Optimizer::new(OptimizerKind::Sgd { momentum: 0.0 }, 2.0).step(&mut params);
+                }
+            }
+        };
+        let mut state = None;
+        layer.begin_sequence(false);
+        dense_step_matches_reference(&mut layer, &mut state, &x0)?;
+        dense_step_matches_reference(&mut layer, &mut state, &x0)?;
+        if !between_sequences {
+            edit(&mut layer);
+        }
+        dense_step_matches_reference(&mut layer, &mut state, &x0)?;
+        dense_step_matches_reference(&mut layer, &mut state, &x1)?;
+        layer.begin_sequence(false);
+        state = None;
+        if between_sequences {
+            edit(&mut layer);
+        }
+        dense_step_matches_reference(&mut layer, &mut state, &x0)?;
+        dense_step_matches_reference(&mut layer, &mut state, &x1)?;
+    }
+}
+
+/// Steps `layer` on `x` and checks its spikes against `matmul_nt` on
+/// the weight the layer holds now, stepping the reference's own LIF
+/// `state`.
+fn dense_step_matches_reference(
+    layer: &mut Layer,
+    state: &mut Option<LifState>,
+    x: &Tensor,
+) -> Result<(), TestCaseError> {
+    let got = layer.forward_step(x);
+    let l = dense(layer);
+    let mut current = matmul_nt(x, &l.weight).unwrap();
+    add_bias_rows(&mut current, &l.bias).unwrap();
+    let st = state.get_or_insert_with(|| LifState::new(current.shape()));
+    let (u, s) = lif_step(&l.lif, st, &current);
+    *st = LifState {
+        membrane: u,
+        prev_spikes: s.clone(),
+    };
+    prop_assert_eq!(bits(&got), bits(&s));
+    Ok(())
+}
+
+fn dense(layer: &mut Layer) -> &mut SpikingDense {
+    match layer {
+        Layer::SpikingDense(l) => l,
+        _ => unreachable!("the test builds a dense layer"),
     }
 }
