@@ -6,7 +6,7 @@
 //!     [-- --reps N --out FILE --json-pretty --smoke]
 //! ```
 //!
-//! Two sections:
+//! Three sections:
 //!
 //! * **Thread scaling** — times the three hot-path kernels
 //!   (`conv2d_forward`, the `x · Wᵀ` GEMM as `matmul_nt` and as the
@@ -17,6 +17,10 @@
 //!   `SNN_NUM_THREADS`; rows where the requested worker count exceeds
 //!   the host's hardware threads are flagged `host_limited` — those
 //!   timings show scheduling overhead, not speedup.
+//! * **int8 LIF row** — the fixed-point LIF row step at conv1's row
+//!   shape, serial: certified rows on the wrapping lanes, rows that
+//!   fail the certificate through the checked fallback, and the f32
+//!   in-place LIF step over the same neuron count.
 //! * **Density sweep** — times the event-driven datapath against the
 //!   dense route at input sparsities 50/75/90/95/99%, serially, for
 //!   conv2d (dispatcher-forced routes, f32 and int8), `matmul_nt`'s
@@ -40,6 +44,7 @@ use std::time::Instant;
 use serde::Serialize;
 use snn_core::neuron::{lif_step_in_place, lif_step_masked, LifState};
 use snn_core::{LifConfig, SpikingNetwork, Surrogate};
+use snn_quant::{magnitude_bound, FixedLif};
 use snn_tensor::conv::{conv2d_forward_routed, conv2d_forward_with, Conv2dGeometry, ConvScratch};
 use snn_tensor::dispatch::{set_event_density_threshold, ConvRoute};
 use snn_tensor::qmat::{qconv2d_forward_routed, qgemm_into, transpose_i8, QConvScratch};
@@ -92,6 +97,18 @@ fn level_u8(len: usize, seed: u64) -> Vec<u8> {
         .map(|_| {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (((rng >> 33) % 255) + 1) as u8
+        })
+        .collect()
+}
+
+/// Pseudorandom `i32`s uniform over `[-2^(bits-1), 2^(bits-1))`; 32
+/// bits spans the whole range.
+fn lcg_i32(len: usize, seed: u64, bits: u32) -> Vec<i32> {
+    let mut rng = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+    (0..len)
+        .map(|_| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((rng >> 32) as i32) >> (32 - bits)
         })
         .collect()
 }
@@ -321,6 +338,29 @@ struct LifBench {
     scaling: ScalingResult,
 }
 
+/// The int8 LIF row step at conv1's row shape: `items × channels`
+/// rows of `row` neurons, one bias per row, serial.
+#[derive(Serialize)]
+struct Int8LifRowBench {
+    items: usize,
+    channels: usize,
+    row: usize,
+    elements: usize,
+    /// `FixedLif::step_row_certified` on rows inside the certificate
+    /// (the runtime's path while its stage bound holds).
+    certified_ns_per_neuron: f64,
+    /// `FixedLif::step_row` on rows whose currents span the whole
+    /// `i32` range: each row's scan fails and every neuron runs the
+    /// reference `FixedLif::step`.
+    fallback_ns_per_neuron: f64,
+    /// f32 `lif_step_in_place` over `elements` neurons.
+    f32_ns_per_neuron: f64,
+    /// `fallback_ns_per_neuron / certified_ns_per_neuron`.
+    fallback_vs_certified: f64,
+    /// `f32_ns_per_neuron / certified_ns_per_neuron`.
+    certified_vs_f32: f64,
+}
+
 #[derive(Serialize)]
 struct KernelReport {
     /// Report layout version ([`snn_bench::BENCH_SCHEMA_VERSION`]).
@@ -338,6 +378,7 @@ struct KernelReport {
     /// `--min-int8-speedup` obs-check gate reads.
     int8_gemm: Int8GemmBench,
     lif_step: LifBench,
+    int8_lif_row: Int8LifRowBench,
     density_sweep: DensitySweep,
     /// Snapshots of the global `snn_span_*` histograms the kernels
     /// recorded into while being timed — per-call latency
@@ -350,6 +391,7 @@ struct Sizes {
     conv: (usize, usize, usize, usize), // cin, cout, img, batch
     gemm: (usize, usize, usize),        // m, k, n
     lif: (usize, usize, usize),         // items, channels, plane-side
+    lif_row: (usize, usize, usize),     // items, channels, row length
     fwd: (usize, usize, usize, usize),  // in_ch, img, filters, timesteps
     fwd_batch: usize,
     direct: (usize, usize, usize),      // img, batch, timesteps
@@ -359,6 +401,7 @@ const FULL: Sizes = Sizes {
     conv: (16, 32, 16, 16),
     gemm: (256, 512, 256),
     lif: (64, 32, 16),
+    lif_row: (16, 32, 256),
     fwd: (2, 16, 16, 8),
     fwd_batch: 8,
     direct: (16, 16, 3),
@@ -368,6 +411,7 @@ const SMOKE: Sizes = Sizes {
     conv: (8, 16, 12, 4),
     gemm: (64, 128, 64),
     lif: (8, 16, 8),
+    lif_row: (4, 8, 64),
     fwd: (2, 8, 8, 4),
     fwd_batch: 2,
     direct: (8, 2, 3),
@@ -459,6 +503,59 @@ fn bench_lif(reps: usize, host: usize, sz: &Sizes) -> LifBench {
         let _ = lif_step_in_place(&cfg, &mut stepped, &input);
     });
     LifBench { elements: input.len(), scaling }
+}
+
+fn bench_int8_lif_row(reps: usize, sz: &Sizes) -> Int8LifRowBench {
+    let (items, channels, row) = sz.lif_row;
+    let elements = items * channels * row;
+    // The tuned configuration at a Q-format whose currents, like a
+    // calibrated conv1's, leave the certificate ample headroom.
+    let cfg = LifConfig { beta: 0.5, theta: 1.5, ..LifConfig::paper_default() };
+    let lif = FixedLif::from_config(&cfg, 24).expect("theta fits Q24");
+    let bias = lcg_i32(channels, 47, 21);
+    let certified = lcg_i32(elements, 53, 27);
+    let full_range = lcg_i32(elements, 59, 32);
+    let mut mem = lcg_i32(elements, 61, 28);
+    let mut spikes = vec![0u8; elements];
+    let bounds = (magnitude_bound(&mem), magnitude_bound(&certified), magnitude_bound(&bias));
+    assert!(lif.certify(bounds.0, bounds.1, bounds.2).is_some(), "rows inside the certificate");
+    let mut time_rows = |current: &[i32], checked: bool| {
+        let seconds = time_serial(reps, || {
+            let rows = mem.chunks_exact_mut(row).zip(spikes.chunks_exact_mut(row));
+            for (r, ((m, s), c)) in rows.zip(current.chunks_exact(row)).enumerate() {
+                let b = &bias[r % channels..][..1];
+                if checked {
+                    lif.step_row(c, b, m, s);
+                } else {
+                    lif.step_row_certified(c, b, m, s);
+                }
+            }
+        });
+        seconds / elements as f64 * 1e9
+    };
+    // With beta = 1/2 the membranes stay within twice the sum of the
+    // current, bias and theta bounds, so every rep stays certified.
+    let certified_ns_per_neuron = time_rows(&certified, false);
+    let fallback_ns_per_neuron = time_rows(&full_range, true);
+    let shape = Shape::d2(items, channels * row);
+    let input = lcg_tensor(shape, 67, 1.0);
+    let mut state =
+        LifState { membrane: lcg_tensor(shape, 71, 0.6), prev_spikes: Tensor::zeros(shape) };
+    let f32_seconds = time_serial(reps, || {
+        let _ = lif_step_in_place(&cfg, &mut state, &input);
+    });
+    let f32_ns_per_neuron = f32_seconds / elements as f64 * 1e9;
+    Int8LifRowBench {
+        items,
+        channels,
+        row,
+        elements,
+        certified_ns_per_neuron,
+        fallback_ns_per_neuron,
+        f32_ns_per_neuron,
+        fallback_vs_certified: fallback_ns_per_neuron / certified_ns_per_neuron,
+        certified_vs_f32: f32_ns_per_neuron / certified_ns_per_neuron,
+    }
 }
 
 /// Conv density sweep: dispatcher-forced dense and event routes,
@@ -875,6 +972,20 @@ fn main() {
     print_scaling("", &lif.scaling);
     println!("  4-thread speedup: {:.2}x\n", lif.scaling.speedup_4_threads);
 
+    let lif_row = bench_int8_lif_row(reps, &sizes);
+    println!(
+        "int8 lif row {}x{} rows of {} (serial, ns per neuron):",
+        lif_row.items, lif_row.channels, lif_row.row
+    );
+    println!(
+        "  certified {:.3}   fallback {:.3} ({:.1}x)   f32 lif_step {:.3} ({:.2}x of certified)\n",
+        lif_row.certified_ns_per_neuron,
+        lif_row.fallback_ns_per_neuron,
+        lif_row.fallback_vs_certified,
+        lif_row.f32_ns_per_neuron,
+        lif_row.certified_vs_f32
+    );
+
     println!("=== density sweep: event-driven vs dense routes, serial ===\n");
     let conv_sweep = sweep_conv(reps, &sizes);
     print_sweep("conv2d (event-driven vs im2col + dense GEMM routes)", &conv_sweep.points);
@@ -915,6 +1026,7 @@ fn main() {
         gemm_nt: gemm,
         int8_gemm,
         lif_step: lif,
+        int8_lif_row: lif_row,
         density_sweep: DensitySweep {
             sparsities_pct: SWEEP_SPARSITIES.to_vec(),
             conv2d: conv_sweep,

@@ -42,7 +42,11 @@ use snn_dse::ExperimentProfile;
 /// v7: `density_sweep` gains `forward_direct` — the paper topology
 /// under direct coding (one frame presented at every timestep, the
 /// serving case), same row layout as `forward`.
-pub const BENCH_SCHEMA_VERSION: u32 = 7;
+///
+/// v8: top-level `int8_lif_row` — ns per neuron of the int8 LIF row
+/// step at conv1's row shape, certified and fallback rows, next to the
+/// f32 LIF step over the same neuron count.
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
 /// Schema version of `BENCH_serve.json`, split from the kernel track
 /// at v6 so the two report families can evolve independently.

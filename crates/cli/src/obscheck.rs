@@ -322,15 +322,16 @@ pub fn check_log(text: &str) -> Result<usize, String> {
 /// with `snn_bench::BENCH_SCHEMA_VERSION` by hand — the CLI stays
 /// below the bench crate in the dependency order, and a version drift
 /// is exactly what this check exists to catch.
-pub const BENCH_KERNELS_SCHEMA: f64 = 7.0;
+pub const BENCH_KERNELS_SCHEMA: f64 = 8.0;
 
 /// Validates a `BENCH_kernels.json` report and (optionally) gates on
 /// the event-driven conv2d speedup and the int8 GEMM speedup.
 ///
 /// Structural checks: parseable JSON object, `schema_version` equal to
 /// [`BENCH_KERNELS_SCHEMA`], a non-empty `git_commit`, an `int8_gemm`
-/// section with finite timings and a finite `int8_speedup`, and a
-/// `density_sweep` section whose `conv2d`, `conv2d_int8`, `gemm_nt`,
+/// section with finite timings and a finite `int8_speedup`, an
+/// `int8_lif_row` section with finite per-neuron timings and ratios,
+/// and a `density_sweep` section whose `conv2d`, `conv2d_int8`, `gemm_nt`,
 /// `lif_step`, `forward` and `forward_direct` sweeps each carry one
 /// point per entry of `sparsities_pct`, with finite timings and
 /// speedups (the int8 conv rows additionally need a finite
@@ -382,6 +383,26 @@ pub fn check_bench_kernels(
                 }
             }
             _ => return Err(format!("int8_gemm lacks finite `{required}`")),
+        }
+    }
+    let Some(serde::Value::Object(lif_row)) = get(fields, "int8_lif_row") else {
+        return Err("missing `int8_lif_row` object".into());
+    };
+    let mut lif_row_ns = f64::NAN;
+    for required in [
+        "certified_ns_per_neuron",
+        "fallback_ns_per_neuron",
+        "f32_ns_per_neuron",
+        "fallback_vs_certified",
+        "certified_vs_f32",
+    ] {
+        match get(&lif_row, required) {
+            Some(serde::Value::Number(v)) if v.is_finite() => {
+                if required == "certified_ns_per_neuron" {
+                    lif_row_ns = v;
+                }
+            }
+            _ => return Err(format!("int8_lif_row lacks finite `{required}`")),
         }
     }
     let Some(serde::Value::Object(sweep)) = get(fields, "density_sweep") else {
@@ -461,7 +482,7 @@ pub fn check_bench_kernels(
     }
     Ok(format!(
         "schema {BENCH_KERNELS_SCHEMA}, commit {}, conv2d event speedup {conv_90:.2}x at 90% \
-         sparsity, int8 GEMM {int8_speedup:.2}x over f32",
+         sparsity, int8 GEMM {int8_speedup:.2}x over f32, int8 LIF row {lif_row_ns:.2} ns/neuron",
         &commit[..commit.len().min(12)]
     ))
 }
@@ -795,6 +816,9 @@ mod tests {
             "{{\"schema_version\":{schema},\"git_commit\":\"abc123\",\
              \"int8_gemm\":{{\"m\":64,\"k\":128,\"n\":64,\"f32_seconds\":0.003,\
              \"int8_seconds\":0.002,\"int8_speedup\":{int8_speedup}}},\
+             \"int8_lif_row\":{{\"certified_ns_per_neuron\":0.9,\
+             \"fallback_ns_per_neuron\":12.5,\"f32_ns_per_neuron\":0.4,\
+             \"fallback_vs_certified\":13.9,\"certified_vs_f32\":0.44}},\
              \"density_sweep\":{{\
              \"sparsities_pct\":[50,90],{},{},{},{},{},{}}}}}",
             section("conv2d"),
@@ -812,15 +836,15 @@ mod tests {
 
     #[test]
     fn validates_bench_kernels_report() {
-        let good = bench_report("7", "2.5");
+        let good = bench_report("8", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("2.50x"), "summary was `{summary}`");
         check_bench_kernels(&good, Some(1.5), None).unwrap();
         assert!(check_bench_kernels(&good, Some(3.0), None).is_err(), "below gate");
-        assert!(check_bench_kernels(&bench_report("6", "2.5"), None, None).is_err(), "old schema");
+        assert!(check_bench_kernels(&bench_report("7", "2.5"), None, None).is_err(), "old schema");
         assert!(check_bench_kernels("not json", None, None).is_err());
         assert!(check_bench_kernels("{}", None, None).is_err(), "missing everything");
-        let no_90 = bench_report("7", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
+        let no_90 = bench_report("8", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
         assert!(check_bench_kernels(&no_90, None, None).is_err(), "no 90% point");
         let no_direct = good.replace("\"forward_direct\"", "\"forward_indirect\"");
         assert!(check_bench_kernels(&no_direct, None, None).is_err(), "missing forward_direct");
@@ -828,7 +852,7 @@ mod tests {
 
     #[test]
     fn gates_and_validates_int8_rows() {
-        let good = bench_report_gated("7", "2.5", "1.35");
+        let good = bench_report_gated("8", "2.5", "1.35");
         let summary = check_bench_kernels(&good, None, Some(1.2)).unwrap();
         assert!(summary.contains("1.35x"), "summary was `{summary}`");
         assert!(
@@ -845,6 +869,19 @@ mod tests {
             check_bench_kernels(&bad_baseline, None, None).is_err(),
             "non-numeric f32 baseline in the int8 conv rows must fail"
         );
+    }
+
+    #[test]
+    fn requires_the_int8_lif_row_section() {
+        let good = bench_report("8", "2.5");
+        let summary = check_bench_kernels(&good, None, None).unwrap();
+        assert!(summary.contains("0.90 ns/neuron"), "summary was `{summary}`");
+        let missing = good.replace("\"int8_lif_row\"", "\"int8_lif_rows\"");
+        assert!(check_bench_kernels(&missing, None, None).is_err(), "missing int8_lif_row");
+        let no_field = good.replace("\"fallback_ns_per_neuron\"", "\"fallback_ns\"");
+        assert!(check_bench_kernels(&no_field, None, None).is_err(), "missing fallback timing");
+        let bad = good.replace("\"certified_vs_f32\":0.44", "\"certified_vs_f32\":null");
+        assert!(check_bench_kernels(&bad, None, None).is_err(), "non-numeric ratio");
     }
 
     fn serve_report(schema: &str, with_phases: bool) -> String {

@@ -5,6 +5,18 @@
 //! [`FixedLif`], the LIF step parameters with `beta` as an integer
 //! multiply + shift. Neither touches f32 at inference time: all f32 →
 //! fixed conversion happens once, at quantization time.
+//!
+//! **The LIF certificate.** [`FixedLif::step`] sums its terms in `i64`
+//! and clamps once to `i32`. The row kernel
+//! [`FixedLif::step_row_certified`] adds them on plain wrapping `i32`
+//! lanes instead, which is exact whenever the true sum fits `i32`.
+//! [`FixedLif::certify`] proves that from magnitude bounds alone:
+//! `validate` keeps `beta_mult <= 2^beta_shift`, so `|leak(m)| <= |m|`
+//! and every new potential obeys `|u| <= |m| + |c| + |b| + theta_q`.
+//! When that total is at most `i32::MAX`, wrapping never happens and
+//! the clamp never acts. The bounds come cheap: [`magnitude_bound`]
+//! is one OR pass, and the requantize pass returns its own
+//! ([`Rescale::apply_row`]).
 
 use serde::{Deserialize, Serialize};
 use snn_core::{LifConfig, ResetMode};
@@ -32,23 +44,20 @@ fn round_shift(wide: i64, shift: u32) -> i64 {
     (mag ^ sign) - sign
 }
 
-/// `a + b` with wrapping; adds to `wraps` the direction the true sum
-/// left the `i32` range in (+1 above, −1 below, 0 if it stayed).
-///
-/// Overflow happens iff `a` and `b` share a sign the wrapped sum
-/// lacks, and then it goes the way of `b`'s sign.
-#[inline(always)]
-fn wrapping_add_counted(a: i32, b: i32, wraps: &mut i32) -> i32 {
-    let sum = a.wrapping_add(b);
-    let overflowed = ((a ^ sum) & (b ^ sum)) >> 31;
-    *wraps += overflowed & (1 | (b >> 31));
-    sum
+/// The OR of `|x|` over `values`: at least their largest magnitude
+/// and below twice it, in one pass the autovectorizer takes
+/// (`|i32::MIN| = 2^31` fits the `u32`).
+pub fn magnitude_bound(values: &[i32]) -> u32 {
+    values.iter().fold(0, |bound, &x| bound | x.unsigned_abs())
 }
 
 /// The loop of [`Rescale::apply_row`] and [`Rescale::apply_zip`], for
-/// a shared factor or one per element.
+/// a shared factor or one per element. Returns the
+/// [`magnitude_bound`] of the results, ORed from the magnitudes it
+/// already holds.
 #[inline(always)]
-fn rescale_lanes(row: &mut [i32], rescale: impl Iterator<Item = Rescale>) {
+fn rescale_lanes(row: &mut [i32], rescale: impl Iterator<Item = Rescale>) -> u32 {
+    let mut bound = 0;
     for (a, rs) in row.iter_mut().zip(rescale) {
         let (mult, shift) = (rs.mult as u32 as u64, rs.shift);
         let half = (1u64 << shift) >> 1;
@@ -56,8 +65,10 @@ fn rescale_lanes(row: &mut [i32], rescale: impl Iterator<Item = Rescale>) {
         let wide = (a.unsigned_abs() as u64 * mult + half) >> shift;
         let limit = i32::MAX as u32 + (sign & 1) as u32;
         let mag = if wide >> 31 == 0 { wide as u32 } else { limit };
+        bound |= mag;
         *a = (mag as i32 ^ sign).wrapping_sub(sign);
     }
+    bound
 }
 
 /// A positive real factor `r` encoded as `mult / 2^shift`, applied to
@@ -132,20 +143,23 @@ impl Rescale {
     /// rounded in `u64` (a 32×32→64 multiply, below `2^63`), saturated
     /// to `2^31 − 1` (or `2^31` for a negative `acc`) by one test of
     /// its bits above 31, and the sign is put back with a mask.
-    pub fn apply_row(&self, row: &mut [i32]) {
-        rescale_lanes(row, std::iter::repeat(*self));
+    ///
+    /// Returns the [`magnitude_bound`] of the rescaled row, the current
+    /// bound that [`FixedLif::certify`] takes.
+    pub fn apply_row(&self, row: &mut [i32]) -> u32 {
+        rescale_lanes(row, std::iter::repeat(*self))
     }
 
     /// [`Rescale::apply_row`] with one factor per element: `row[i]`
     /// is rescaled by `rescale[i]` (a dense stage, whose neurons are
-    /// each their own channel).
+    /// each their own channel). Returns the same bound as `apply_row`.
     ///
     /// # Panics
     ///
     /// Panics if `rescale` and `row` differ in length.
-    pub fn apply_zip(rescale: &[Rescale], row: &mut [i32]) {
+    pub fn apply_zip(rescale: &[Rescale], row: &mut [i32]) -> u32 {
         assert_eq!(rescale.len(), row.len(), "one rescale per element");
-        rescale_lanes(row, rescale.iter().copied());
+        rescale_lanes(row, rescale.iter().copied())
     }
 
     /// The real factor this encodes (for diagnostics and tests).
@@ -253,15 +267,63 @@ impl FixedLif {
         (u, u > self.theta_q)
     }
 
+    /// Certifies a step of [`FixedLif::step_row_certified`] over
+    /// neurons whose membranes, currents and biases have magnitudes of
+    /// at most `mem`, `current` and `bias`.
+    ///
+    /// Returns the bound `mem + current + bias + theta_q` on every new
+    /// potential's magnitude if it is at most `i32::MAX`, and `None`
+    /// otherwise. For an artifact that passes [`FixedLif::validate`],
+    /// `Some` proves that the wrapping lanes equal [`FixedLif::step`]:
+    /// the leak never grows a magnitude, so the true sum obeys the
+    /// bound, fits `i32`, and `step`'s clamp never acts. The bound is
+    /// also the membrane bound for the next step.
+    pub fn certify(&self, mem: u32, current: u32, bias: u32) -> Option<u32> {
+        let bound = mem as u64 + current as u64 + bias as u64 + self.theta_q as u64;
+        (bound <= i32::MAX as u64).then_some(bound as u32)
+    }
+
     /// [`FixedLif::step`] over a row of neurons: neuron `i` takes
     /// `current[i] + bias` as its current, steps `mem[i]`, and reads
     /// its previous spike from `spikes[i]` (0 or 1) before writing the
     /// new one there. `bias` holds one value shared by the row, or one
     /// per neuron.
     ///
-    /// Equal to `step` element by element for every artifact that
-    /// passes [`FixedLif::validate`], but branch-free and in `i32`
-    /// lanes, so the loop vectorizes:
+    /// Equal to `step` element by element on every input: the row's
+    /// own [`magnitude_bound`]s go to [`FixedLif::certify`], and a row
+    /// that passes runs [`FixedLif::step_row_certified`], any other
+    /// `step` one neuron at a time. A caller that already holds a bound
+    /// calls the certified kernel directly and skips the scans.
+    ///
+    /// # Panics
+    ///
+    /// As [`FixedLif::step_row_certified`].
+    pub fn step_row(&self, current: &[i32], bias: &[i32], mem: &mut [i32], spikes: &mut [u8]) {
+        let bounds = (magnitude_bound(mem), magnitude_bound(current), magnitude_bound(bias));
+        if self.certify(bounds.0, bounds.1, bounds.2).is_some() {
+            return self.step_row_certified(current, bias, mem, spikes);
+        }
+        assert!(current.len() == mem.len() && spikes.len() == mem.len(), "LIF row lengths");
+        assert!(bias.len() == 1 || bias.len() == mem.len(), "LIF row bias length");
+        let lanes = mem.iter_mut().zip(spikes.iter_mut());
+        for ((m, s), (&c, &b)) in lanes.zip(current.iter().zip(bias.iter().cycle())) {
+            let (u, spike) = self.step(*m, *s != 0, c as i64 + b as i64);
+            *m = u;
+            *s = spike as u8;
+        }
+    }
+
+    /// [`FixedLif::step_row`] on plain wrapping `i32` lanes, for rows
+    /// the caller has certified.
+    ///
+    /// **Precondition:** [`FixedLif::certify`] returns `Some` for
+    /// bounds on the row's `|mem[i]|`, `|current[i]|` and `|bias|`.
+    /// Then the result equals `step` element by element, for every
+    /// artifact that passes [`FixedLif::validate`]. Outside it the sum
+    /// wraps where `step` saturates: the potentials are wrong, though
+    /// nothing is undefined.
+    ///
+    /// The loop is branch-free, so it vectorizes:
     ///
     /// * the leak rounds `|m|·beta_mult + half` in `u64` and puts the
     ///   sign back with a mask. With `beta_mult <= 2^beta_shift` its
@@ -270,16 +332,20 @@ impl FixedLif {
     /// * the previous spike enters as a 0/1 integer: its negation is a
     ///   mask that clears the leaked membrane (zero reset) or selects
     ///   `theta_q` to take off (subtract reset);
-    /// * `step` sums four `i32` terms in `i64` and clamps once. Here
-    ///   they are added with wrapping and each add's overflow is
-    ///   counted (+1 up, −1 down): the wrapped sum is exact when the
-    ///   count is 0, and saturates toward its sign otherwise.
+    /// * the four terms are added with wrapping, which the certificate
+    ///   makes exact.
     ///
     /// # Panics
     ///
     /// Panics if `current`, `mem` and `spikes` differ in length, or
     /// `bias` is neither one value nor one per neuron.
-    pub fn step_row(&self, current: &[i32], bias: &[i32], mem: &mut [i32], spikes: &mut [u8]) {
+    pub fn step_row_certified(
+        &self,
+        current: &[i32],
+        bias: &[i32],
+        mem: &mut [i32],
+        spikes: &mut [u8],
+    ) {
         assert!(current.len() == mem.len() && spikes.len() == mem.len(), "LIF row lengths");
         match *bias {
             [shared] => self.step_lanes(current, std::iter::repeat(shared), mem, spikes),
@@ -290,7 +356,8 @@ impl FixedLif {
         }
     }
 
-    /// The loop of [`FixedLif::step_row`], for either bias layout.
+    /// The loop of [`FixedLif::step_row_certified`], for either bias
+    /// layout.
     #[inline(always)]
     fn step_lanes(
         &self,
@@ -314,12 +381,11 @@ impl FixedLif {
             let sign = *m >> 31;
             let mag = ((m.unsigned_abs() as u64 * beta_mult + half) >> shift) as u32 as i32;
             let leaked = (mag ^ sign).wrapping_sub(sign);
-            let prev = (*s != 0) as i32;
-            let mut wraps = 0;
-            let u = wrapping_add_counted(leaked & !(clear & -prev), c, &mut wraps);
-            let u = wrapping_add_counted(u, b, &mut wraps);
-            let u = wrapping_add_counted(u, -(subtract & -prev), &mut wraps);
-            let u = if wraps == 0 { u } else { (wraps >> 31) ^ i32::MAX };
+            let prev = -((*s != 0) as i32);
+            let u = (leaked & !(clear & prev))
+                .wrapping_add(c)
+                .wrapping_add(b)
+                .wrapping_sub(subtract & prev);
             *m = u;
             *s = (u > self.theta_q) as u8;
         }

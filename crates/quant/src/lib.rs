@@ -58,7 +58,7 @@ mod snapshot;
 
 pub use calibrate::{calibrate, Calibration};
 pub use error::QuantError;
-pub use fixed::{FixedLif, Rescale, BETA_FRAC_BITS};
-pub use network::{classify_counts, QuantNetwork, StageMeta};
+pub use fixed::{magnitude_bound, FixedLif, Rescale, BETA_FRAC_BITS};
+pub use network::{classify_counts, LifSteps, QuantNetwork, StageMeta};
 pub use qtensor::{saturate_i32, saturate_i8, weight_qmax, QuantizedTensor, QMAX_I8};
 pub use snapshot::{quantize_snapshot, QuantStage, QuantizedSnapshot, QUANT_FORMAT};

@@ -30,10 +30,32 @@
 //! one item for a conv stage (its rescale and bias loaded once per
 //! row), one item for a dense stage (one pair per neuron). Both are
 //! row kernels shaped for the autovectorizer: [`Rescale::apply_row`]
-//! and [`FixedLif::step_row`], whose branch-free LIF takes the
-//! previous spike and the reset mode as integer masks. Max pooling is
-//! [`snn_tensor::pool::maxpool_into`], the window loop the f32 network
-//! uses too.
+//! and [`FixedLif::step_row_certified`], whose branch-free LIF takes
+//! the previous spike and the reset mode as integer masks. Max pooling
+//! is [`snn_tensor::pool::maxpool_into`], the window loop the f32
+//! network uses too.
+//!
+//! **Certified LIF steps.** The LIF kernel adds on wrapping `i32`
+//! lanes, exact only while [`FixedLif::certify`] accepts magnitude
+//! bounds on the stage's membranes, currents and biases. Each spiking
+//! stage keeps the three bounds:
+//!
+//! * the bias bound is measured once, when the network is built;
+//! * the current bound is returned by the requantize pass that already
+//!   runs (once per batch for the first spiking stage, every step for
+//!   the others);
+//! * the membrane bound is 0 at the start of every batch (the
+//!   membranes are), and each certified step replaces it with the
+//!   bound `certify` returns.
+//!
+//! That propagated bound grows every step, so when it fails, one OR
+//! scan of the stage's membranes re-measures it. Only if the measured
+//! bound fails too does the step fall back to [`FixedLif::step_row`],
+//! which certifies each row on its own bounds or runs
+//! [`FixedLif::step`] one neuron at a time. [`QuantNetwork::lif_steps`]
+//! counts which of the three each stage step took.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use snn_tensor::conv::Conv2dGeometry;
 use snn_tensor::par;
@@ -41,7 +63,7 @@ use snn_tensor::pool::{maxpool_into, Pool2dGeometry};
 use snn_tensor::qmat::{qconv2d_forward_routed, qlinear_into, transpose_i8, QConvScratch};
 
 use crate::error::QuantError;
-use crate::fixed::{FixedLif, Rescale};
+use crate::fixed::{magnitude_bound, FixedLif, Rescale};
 use crate::snapshot::{QuantStage, QuantizedSnapshot};
 
 /// Static description of one runtime stage (for engines that report
@@ -54,6 +76,19 @@ pub struct StageMeta {
     pub item_len: usize,
     /// Whether the stage emits spikes (conv/dense).
     pub spiking: bool,
+}
+
+/// How the LIF steps of the last batch were certified: one count per
+/// spiking stage per timestep.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LifSteps {
+    /// Certified by the membrane bound carried from the previous step.
+    pub propagated: u64,
+    /// Certified after a scan of the stage's membranes re-measured
+    /// their bound.
+    pub remeasured: u64,
+    /// Not certified: each row went through [`FixedLif::step_row`].
+    pub fallback: u64,
 }
 
 /// One executable stage: quantized parameters plus reusable batch
@@ -92,12 +127,18 @@ impl Synapses {
 /// (`span` 1); a dense row is one item (`span` = `row`, each neuron
 /// its own channel). So the kernels run on whole rows, loading each
 /// parameter once.
+///
+/// The three `*_bound`s are the stage-wide magnitude bounds that
+/// [`FixedLif::certify`] takes (see the module docs).
 struct Neurons {
     bias_q: Vec<i32>,
     rescale: Vec<Rescale>,
     lif: FixedLif,
     row: usize,
     span: usize,
+    bias_bound: u32,
+    current_bound: u32,
+    mem_bound: u32,
     /// The synapses' sums, rescaled in place by [`Neurons::requantize`]
     /// into the Q-format current before bias.
     acc: Vec<i32>,
@@ -112,6 +153,9 @@ impl Neurons {
             lif,
             row,
             span,
+            bias_bound: magnitude_bound(bias_q),
+            current_bound: 0,
+            mem_bound: 0,
             acc: Vec::new(),
             mem: Vec::new(),
         }
@@ -124,37 +168,59 @@ impl Neurons {
     }
 
     /// Rescales every accumulator in place with its channel's
-    /// [`Rescale`].
+    /// [`Rescale`], and keeps the currents' magnitude bound.
     fn requantize(&mut self) {
-        let Neurons { rescale, row, span, acc, .. } = self;
+        let Neurons { rescale, row, span, acc, current_bound, .. } = self;
         let (row, span) = (*row, *span);
+        // Relaxed suffices: the workers' scope joins before
+        // `into_inner` reads the OR.
+        let bound = AtomicU32::new(0);
         par::for_each_block(acc, row, par::min_granules_for(4 * row), |r0, rows| {
+            let mut block = 0;
             for (r, arow) in (r0..).zip(rows.chunks_exact_mut(row)) {
-                match &rescale[Self::params(span, rescale.len(), r)] {
+                block |= match &rescale[Self::params(span, rescale.len(), r)] {
                     [shared] => shared.apply_row(arow),
                     own => Rescale::apply_zip(own, arow),
-                }
+                };
             }
+            bound.fetch_or(block, Ordering::Relaxed);
         });
+        *current_bound = bound.into_inner();
     }
 
     /// One timestep: bias + LIF over the requantized accumulators.
     /// `out` enters holding the previous timestep's spikes and leaves
-    /// holding this timestep's.
+    /// holding this timestep's. Counts in `steps` how the step was
+    /// certified.
     ///
     /// Elementwise (each neuron touches only its own current,
     /// membrane and previous spike), so splitting rows across workers
     /// is bit-exact with the serial loop.
-    fn step(&mut self, out: &mut [u8]) {
-        let Neurons { bias_q, lif, row, span, acc, mem, .. } = self;
+    fn step(&mut self, out: &mut [u8], steps: &mut LifSteps) {
+        let Neurons { bias_q, lif, row, span, bias_bound, current_bound, mem_bound, acc, mem, .. } =
+            self;
         let (row, span) = (*row, *span);
+        let certify = |mem: u32| lif.certify(mem, *current_bound, *bias_bound);
+        let propagated = certify(*mem_bound);
+        let bound = propagated.or_else(|| certify(magnitude_bound(mem)));
+        *match (propagated, bound) {
+            (Some(_), _) => &mut steps.propagated,
+            (None, Some(_)) => &mut steps.remeasured,
+            (None, None) => &mut steps.fallback,
+        } += 1;
+        // After a fallback step only the clamp bounds the membranes.
+        *mem_bound = bound.unwrap_or(1 << 31);
         let min_rows = par::min_granules_for(8 * row);
         par::for_each_block2(mem, row, out, row, min_rows, |r0, mrows, orows| {
             let rows = mrows.chunks_exact_mut(row).zip(orows.chunks_exact_mut(row));
             let currents = acc[r0 * row..].chunks_exact(row);
             for (r, ((mrow, orow), arow)) in (r0..).zip(rows.zip(currents)) {
                 let bias = &bias_q[Self::params(span, bias_q.len(), r)];
-                lif.step_row(arow, bias, mrow, orow);
+                if bound.is_some() {
+                    lif.step_row_certified(arow, bias, mrow, orow);
+                } else {
+                    lif.step_row(arow, bias, mrow, orow);
+                }
             }
         });
     }
@@ -184,6 +250,7 @@ pub struct QuantNetwork {
     /// doubles as the LIF reset's "previous spikes".
     outs: Vec<Vec<u8>>,
     qinput: Vec<u8>,
+    lif_steps: LifSteps,
 }
 
 impl QuantNetwork {
@@ -258,6 +325,7 @@ impl QuantNetwork {
             first_spiking,
             outs,
             qinput: Vec::new(),
+            lif_steps: LifSteps::default(),
         })
     }
 
@@ -279,6 +347,11 @@ impl QuantNetwork {
     /// Static stage descriptions, in execution order.
     pub fn stage_meta(&self) -> &[StageMeta] {
         &self.meta
+    }
+
+    /// How the last batch's LIF steps were certified.
+    pub fn lif_steps(&self) -> LifSteps {
+        self.lif_steps
     }
 
     /// Runs `items` for `timesteps` and returns per-item spike counts
@@ -303,9 +376,10 @@ impl QuantNetwork {
             return Err(QuantError::Calibration("zero timesteps".into()));
         }
         self.quantize_input(items, item_len)?;
-        // Reset batch state: membranes and previous spikes (the stage
-        // output buffers) to zero. The accumulators are only sized:
-        // the synapse kernels overwrite every one at t = 0.
+        // Reset batch state: membranes (and their bound) and previous
+        // spikes (the stage output buffers) to zero. The accumulators
+        // are only sized: the synapse kernels overwrite every one at
+        // t = 0, and the requantize pass then sets the current bound.
         for (stage, (out, meta)) in
             self.stages.iter_mut().zip(self.outs.iter_mut().zip(self.meta.iter()))
         {
@@ -314,9 +388,11 @@ impl QuantNetwork {
             if let RunStage::Spiking(_, neurons) = stage {
                 neurons.mem.clear();
                 neurons.mem.resize(n * meta.item_len, 0);
+                neurons.mem_bound = 0;
                 neurons.acc.resize(n * meta.item_len, 0);
             }
         }
+        self.lif_steps = LifSteps::default();
         let mut counts = vec![0u32; n * self.classes];
         let last = self.stages.len() - 1;
         for t in 0..timesteps {
@@ -335,7 +411,7 @@ impl QuantNetwork {
                             synapses.accumulate(x, n, &mut neurons.acc);
                             neurons.requantize();
                         }
-                        neurons.step(out);
+                        neurons.step(out, &mut self.lif_steps);
                     }
                     RunStage::Pool { geom } if fresh => maxpool_into(geom, x, out, &mut []),
                     RunStage::Flatten if fresh => out.copy_from_slice(x),

@@ -12,16 +12,18 @@
 //! 3. **Fixed-point LIF** — the integer membrane trajectory tracks
 //!    the f32 reference within a stated, derived tolerance, the
 //!    runtime's row kernel ([`FixedLif::step_row`]) equals the scalar
-//!    [`FixedLif::step`] on every input an artifact can produce, and
-//!    the full quantized forward is bit-identical across thread
-//!    counts and dispatch routes.
+//!    [`FixedLif::step`] on every input an artifact can produce, its
+//!    wrapping lanes ([`FixedLif::step_row_certified`]) do so on every
+//!    row [`FixedLif::certify`] accepts, and the full quantized
+//!    forward is bit-identical across thread counts and dispatch
+//!    routes.
 
 use proptest::prelude::*;
 
 use snn_core::{LifConfig, NetworkSnapshot, ResetMode, SpikingNetwork};
 use snn_quant::{
-    calibrate, quantize_snapshot, saturate_i8, FixedLif, QuantNetwork, QuantStage,
-    QuantizedSnapshot, QuantizedTensor, Rescale,
+    calibrate, quantize_snapshot, saturate_i8, FixedLif, LifSteps, QuantNetwork, QuantStage,
+    QuantizedSnapshot, QuantizedTensor, Rescale, QUANT_FORMAT,
 };
 use snn_tensor::conv::Conv2dGeometry;
 use snn_tensor::dispatch::with_event_density_threshold;
@@ -294,6 +296,142 @@ proptest! {
     }
 }
 
+/// Runs [`FixedLif::step_row_certified`] on one row and checks every
+/// neuron against [`FixedLif::step`], as [`check_row`] does for the
+/// checked kernel.
+fn check_certified_row(
+    lif: &FixedLif,
+    mem: &[i32],
+    spikes: &[u8],
+    current: &[i32],
+    bias: &[i32],
+) -> Result<(), TestCaseError> {
+    let (mut got_mem, mut got_spikes) = (mem.to_vec(), spikes.to_vec());
+    lif.step_row_certified(current, bias, &mut got_mem, &mut got_spikes);
+    for i in 0..mem.len() {
+        let b = bias[i % bias.len()];
+        let want = lif.step(mem[i], spikes[i] != 0, current[i] as i64 + b as i64);
+        prop_assert_eq!(
+            (got_mem[i], got_spikes[i] != 0), want,
+            "{:?}: m {} spike {} current {} bias {}", lif, mem[i], spikes[i], current[i], b
+        );
+    }
+    Ok(())
+}
+
+/// A value of magnitude at most `bound`: half the draws are `-bound`,
+/// `0` or `bound`, the rest uniform over `[-bound, bound]`.
+fn within(s: &mut u64, bound: u32) -> i32 {
+    let r = lcg(s);
+    let bound = bound as i64;
+    let v = match r % 6 {
+        0 => -bound,
+        1 => 0,
+        2 => bound,
+        _ => (((lcg(s) << 31) ^ r) % (2 * bound as u64 + 1)) as i64 - bound,
+    };
+    v as i32
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rows inside the certificate: three cuts split the whole
+    /// `i32::MAX` budget into `|m|`, `|c|`, `|b|` and `theta_q`, and
+    /// every value is drawn within its share (the extremes half the
+    /// time). [`FixedLif::certify`] must accept the split, and the
+    /// wrapping lanes must equal [`FixedLif::step`] for any
+    /// `beta_mult ∈ [0, 2^beta_shift]`, both reset modes and both bias
+    /// layouts.
+    #[test]
+    fn certified_lif_row_matches_step(
+        cut_a in 0..i32::MAX, cut_b in 0..i32::MAX, cut_c in 0..i32::MAX, beta_shift in 0u32..=30,
+        mult_frac in any::<u32>(), zero_reset in any::<bool>(), seed in any::<u64>(),
+        len in 1usize..80,
+    ) {
+        let mut cuts = [cut_a as u32, cut_b as u32, cut_c as u32];
+        cuts.sort_unstable();
+        let (bm, bc, bb) = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1]);
+        let theta_q = i32::MAX - cuts[2] as i32;
+        let top = 1u64 << beta_shift;
+        let beta_mult = ((mult_frac as u64 * (top + 1)) >> 32) as i32;
+        let lif = fixed_lif(beta_mult, beta_shift, theta_q, zero_reset);
+        prop_assert_eq!(lif.certify(bm, bc, bb), Some(i32::MAX as u32));
+        let mut s = seed | 1;
+        let mem: Vec<i32> = (0..len).map(|_| within(&mut s, bm)).collect();
+        let current: Vec<i32> = (0..len).map(|_| within(&mut s, bc)).collect();
+        let spikes: Vec<u8> = (0..len).map(|_| (lcg(&mut s) % 2) as u8).collect();
+        let per_neuron: Vec<i32> = (0..len).map(|_| within(&mut s, bb)).collect();
+        let shared = within(&mut s, bb);
+        check_certified_row(&lif, &mem, &spikes, &current, &[shared])?;
+        check_certified_row(&lif, &mem, &spikes, &current, &per_neuron)?;
+    }
+}
+
+/// Every sign of `|m| = bm`, `|c| = bc`, `|b| = bb` (and `m = 0`) with
+/// both previous spikes: the row that reaches a certificate's
+/// extremes. Returns (mem, spikes, current, per-neuron bias).
+fn extreme_row(bm: u32, bc: u32, bb: u32) -> (Vec<i32>, Vec<u8>, Vec<i32>, Vec<i32>) {
+    let signed = |b: u32| [-(b as i64) as i32, b as i32];
+    let mut row = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for m in [signed(bm)[0], 0, signed(bm)[1]] {
+        for c in signed(bc) {
+            for b in signed(bb) {
+                for s in [0u8, 1] {
+                    row.0.push(m);
+                    row.1.push(s);
+                    row.2.push(c);
+                    row.3.push(b);
+                }
+            }
+        }
+    }
+    row
+}
+
+/// The certificate's edge. At `|m| + |c| + |b| + theta_q = i32::MAX`
+/// [`FixedLif::certify`] accepts and the wrapping lanes equal
+/// [`FixedLif::step`] on every extreme; one more and it refuses, and
+/// [`FixedLif::step_row`] still equals `step` there. One past that
+/// slack the wrapping lanes do wrap: the bound is tight to within
+/// one.
+#[test]
+fn certificate_boundary_is_i32_max() {
+    const MAX: u32 = i32::MAX as u32;
+    for theta_q in [1u32, 1 << 16, 1 << 30, MAX - 2] {
+        let rest = MAX - theta_q;
+        for (bm, bc) in [(rest / 3, rest / 3), (rest - 1, 0), (0, rest / 2), (rest / 2, 1)] {
+            let bb = rest - bm - bc;
+            for beta_shift in [0u32, 15, 30] {
+                for zero_reset in [false, true] {
+                    // beta = 1: the leak keeps the full membrane.
+                    let lif = fixed_lif(1 << beta_shift, beta_shift, theta_q as i32, zero_reset);
+                    let tag = format!("theta {theta_q} bounds {bm}/{bc}/{bb} {lif:?}");
+                    assert_eq!(lif.certify(bm, bc, bb), Some(MAX), "{tag}");
+                    let (mem, spikes, current, bias) = extreme_row(bm, bc, bb);
+                    check_certified_row(&lif, &mem, &spikes, &current, &bias).unwrap();
+                    for shared in [-(bb as i64) as i32, bb as i32] {
+                        check_certified_row(&lif, &mem, &spikes, &current, &[shared]).unwrap();
+                    }
+                    for over in [(bm + 1, bc, bb), (bm, bc + 1, bb), (bm, bc, bb + 1)] {
+                        assert_eq!(lif.certify(over.0, over.1, over.2), None, "{tag} + 1");
+                    }
+                    let (mem, spikes, current, bias) = extreme_row(bm, bc, bb + 1);
+                    check_row(&lif, &mem, &spikes, &current, &bias).unwrap();
+                }
+            }
+            // Total i32::MAX + 2: the subtract reset's most negative
+            // sum is -2^31 - 1, which the lanes wrap and `step` clamps.
+            let lif = fixed_lif(1, 0, theta_q as i32, false);
+            let (m, c, b) = (-(bm as i64) as i32, -(bc as i64) as i32, -(bb as i64 + 2) as i32);
+            let (mut got_mem, mut got_spikes) = (vec![m], vec![1u8]);
+            lif.step_row_certified(&[c], &[b], &mut got_mem, &mut got_spikes);
+            assert_eq!(lif.step(m, true, c as i64 + b as i64), (i32::MIN, false));
+            assert_eq!(got_mem[0], i32::MAX, "wrapped past the certificate");
+        }
+    }
+}
+
 proptest! {
     // End-to-end cases are heavier; fewer, bigger.
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -559,4 +697,76 @@ proptest! {
             }
         }
     }
+}
+
+/// A one-stage artifact (4 inputs → 2 dense neurons, beta = 1,
+/// subtract reset, theta 2^30) whose stage bound runs out mid-batch.
+/// Neuron 0 adds `+C` per step and neuron 1 `-C`, with
+/// `C = 1020 · 2^17` on an all-ones input (half that on the second
+/// item) and a bias of ±2^24. Neuron 0 fires and resets; neuron 1
+/// runs down to `i32::MIN` and stays there, where wrapping lanes
+/// would jump to large positive potentials.
+fn crossing_artifact() -> QuantizedSnapshot {
+    let lif = FixedLif {
+        frac_bits: 16,
+        beta_mult: 1 << 15,
+        beta_shift: 15,
+        theta_q: 1 << 30,
+        reset: ResetMode::Subtract,
+    };
+    let q = QuantizedSnapshot {
+        format: QUANT_FORMAT.into(),
+        bits: 8,
+        input_item_dims: vec![4],
+        classes: 2,
+        input_max: 1.0,
+        input_levels: 255,
+        stages: vec![QuantStage::Dense {
+            name: "fc".into(),
+            weight: QuantizedTensor {
+                channels: 2,
+                per_channel: 4,
+                values: vec![1, 1, 1, 1, -1, -1, -1, -1],
+                scales: vec![1.0; 2],
+                zero_points: vec![0; 2],
+            },
+            bias_q: vec![1 << 24, -(1 << 24)],
+            rescale: vec![Rescale { mult: 1 << 17, shift: 0 }; 2],
+            lif,
+        }],
+    };
+    q.validate().expect("a valid artifact");
+    q
+}
+
+/// The crossing artifact against the naive reference at 1 and 4
+/// threads. The certificate's path is pinned step by step: step 0
+/// certified by the membrane bound reset at the batch start, steps
+/// 1–3 after a re-measure (the propagated bound, which adds theta
+/// every step, ran out at once), and from step 4 on a fallback, as
+/// the falling neurons near `i32::MIN` (item 0's reaches it at step
+/// 14). Later runs of the same batch must take the same path.
+#[test]
+fn quantized_forward_crosses_remeasure_and_fallback() {
+    let q = crossing_artifact();
+    let items = vec![vec![1.0f32; 4], vec![0.5f32; 4]];
+    let timesteps = 24;
+    let (want_counts, want_acts) = reference(&q, &items, timesteps);
+    let want_steps = LifSteps { propagated: 1, remeasured: 3, fallback: 20 };
+    let mut runtime = QuantNetwork::from_snapshot(&q).unwrap();
+    for threads in [1usize, 4, 1] {
+        let mut seen = Vec::new();
+        let counts = par::with_num_threads(threads, || {
+            runtime
+                .infer_batch_observed(&items, timesteps, |_, _, acts, _| seen.push(acts.to_vec()))
+                .unwrap()
+        });
+        assert_eq!(counts, want_counts, "{threads} threads");
+        for (t, acts) in seen.iter().enumerate() {
+            assert_eq!(acts, &want_acts[t][0], "t {t}, {threads} threads");
+        }
+        assert_eq!(runtime.lif_steps(), want_steps, "{threads} threads");
+    }
+    // Neuron 1 of item 0 never fires once saturated; wrapped it would.
+    assert_eq!(want_counts[1], 0);
 }
