@@ -21,6 +21,10 @@
 //!   shape, serial: certified rows on the wrapping lanes, rows that
 //!   fail the certificate through the checked fallback, and the f32
 //!   in-place LIF step over the same neuron count.
+//! * **Max pool** — the paper's 2×2 / stride-2 pool at pool1's and
+//!   pool2's input shapes, serial, on 5%-dense binary spikes: `u8`
+//!   (the integer runtime) against `f32` (the f32 engine), both
+//!   through `maxpool_into` without an argmax.
 //! * **Density sweep** — times the event-driven datapath against the
 //!   dense route at input sparsities 50/75/90/95/99%, serially, for
 //!   conv2d (dispatcher-forced routes, f32 and int8), `matmul_nt`'s
@@ -47,11 +51,18 @@ use snn_core::{LifConfig, SpikingNetwork, Surrogate};
 use snn_quant::{magnitude_bound, FixedLif};
 use snn_tensor::conv::{conv2d_forward_routed, conv2d_forward_with, Conv2dGeometry, ConvScratch};
 use snn_tensor::dispatch::{set_event_density_threshold, ConvRoute};
+use snn_tensor::pool::{maxpool_into, Pool2dGeometry};
 use snn_tensor::qmat::{qconv2d_forward_routed, qgemm_into, transpose_i8, QConvScratch};
 use snn_tensor::spike::TouchMask;
 use snn_tensor::{linalg, par, Shape, Tensor};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Input sides of the paper topology's two pools (pool1, pool2).
+const POOL_SIDES: [usize; 2] = [16, 8];
+
+/// Spike density (%) of the max-pool section's inputs.
+const POOL_DENSITY_PCT: u64 = 5;
 
 /// Input sparsities (zero fraction, %) swept by the density section.
 const SWEEP_SPARSITIES: [u64; 5] = [50, 75, 90, 95, 99];
@@ -361,6 +372,27 @@ struct Int8LifRowBench {
     certified_vs_f32: f64,
 }
 
+/// The 2×2 / stride-2 max pool, `items × channels × side × side`
+/// inputs per point, serial.
+#[derive(Serialize)]
+struct MaxpoolBench {
+    items: usize,
+    channels: usize,
+    spike_density_pct: u64,
+    /// One point per entry of [`POOL_SIDES`].
+    points: Vec<MaxpoolPoint>,
+}
+
+#[derive(Serialize)]
+struct MaxpoolPoint {
+    side: usize,
+    input_density: f64,
+    u8_ns_per_input: f64,
+    f32_ns_per_input: f64,
+    /// `f32_ns_per_input / u8_ns_per_input`.
+    u8_vs_f32: f64,
+}
+
 #[derive(Serialize)]
 struct KernelReport {
     /// Report layout version ([`snn_bench::BENCH_SCHEMA_VERSION`]).
@@ -379,6 +411,7 @@ struct KernelReport {
     int8_gemm: Int8GemmBench,
     lif_step: LifBench,
     int8_lif_row: Int8LifRowBench,
+    maxpool: MaxpoolBench,
     density_sweep: DensitySweep,
     /// Snapshots of the global `snn_span_*` histograms the kernels
     /// recorded into while being timed — per-call latency
@@ -392,6 +425,7 @@ struct Sizes {
     gemm: (usize, usize, usize),        // m, k, n
     lif: (usize, usize, usize),         // items, channels, plane-side
     lif_row: (usize, usize, usize),     // items, channels, row length
+    pool: (usize, usize),               // items, channels
     fwd: (usize, usize, usize, usize),  // in_ch, img, filters, timesteps
     fwd_batch: usize,
     direct: (usize, usize, usize),      // img, batch, timesteps
@@ -402,6 +436,7 @@ const FULL: Sizes = Sizes {
     gemm: (256, 512, 256),
     lif: (64, 32, 16),
     lif_row: (16, 32, 256),
+    pool: (16, 32),
     fwd: (2, 16, 16, 8),
     fwd_batch: 8,
     direct: (16, 16, 3),
@@ -412,6 +447,7 @@ const SMOKE: Sizes = Sizes {
     gemm: (64, 128, 64),
     lif: (8, 16, 8),
     lif_row: (4, 8, 64),
+    pool: (4, 8),
     fwd: (2, 8, 8, 4),
     fwd_batch: 2,
     direct: (8, 2, 3),
@@ -556,6 +592,34 @@ fn bench_int8_lif_row(reps: usize, sz: &Sizes) -> Int8LifRowBench {
         fallback_vs_certified: fallback_ns_per_neuron / certified_ns_per_neuron,
         certified_vs_f32: f32_ns_per_neuron / certified_ns_per_neuron,
     }
+}
+
+fn bench_maxpool(reps: usize, sz: &Sizes) -> MaxpoolBench {
+    let (items, channels) = sz.pool;
+    let points = POOL_SIDES
+        .iter()
+        .map(|&side| {
+            let g = Pool2dGeometry::new(channels, 2, 2, side, side).expect("valid geometry");
+            let x = spike_tensor(Shape::d4(items, channels, side, side), 79, POOL_DENSITY_PCT);
+            let xq: Vec<u8> = x.as_slice().iter().map(|&v| u8::from(v != 0.0)).collect();
+            let mut out = Tensor::zeros(Shape::d4(items, channels, g.out_h(), g.out_w()));
+            let mut outq = vec![0u8; out.len()];
+            let ns_per_input = |seconds: f64| seconds / x.len() as f64 * 1e9;
+            let u8_ns_per_input =
+                ns_per_input(time_serial(reps, || maxpool_into(&g, &xq, &mut outq, &mut [])));
+            let f32_ns_per_input = ns_per_input(time_serial(reps, || {
+                maxpool_into(&g, x.as_slice(), out.as_mut_slice(), &mut []);
+            }));
+            MaxpoolPoint {
+                side,
+                input_density: measured_density(&x),
+                u8_ns_per_input,
+                f32_ns_per_input,
+                u8_vs_f32: f32_ns_per_input / u8_ns_per_input,
+            }
+        })
+        .collect();
+    MaxpoolBench { items, channels, spike_density_pct: POOL_DENSITY_PCT, points }
 }
 
 /// Conv density sweep: dispatcher-forced dense and event routes,
@@ -986,6 +1050,19 @@ fn main() {
         lif_row.certified_vs_f32
     );
 
+    let maxpool = bench_maxpool(reps, &sizes);
+    println!(
+        "max pool 2x2/2, {} items x {} channels, {}% spikes (serial, ns per input):",
+        maxpool.items, maxpool.channels, maxpool.spike_density_pct
+    );
+    for p in &maxpool.points {
+        println!(
+            "  {:>2}x{:<2}  u8 {:.4}   f32 {:.4}   u8 vs f32 {:.2}x",
+            p.side, p.side, p.u8_ns_per_input, p.f32_ns_per_input, p.u8_vs_f32
+        );
+    }
+    println!();
+
     println!("=== density sweep: event-driven vs dense routes, serial ===\n");
     let conv_sweep = sweep_conv(reps, &sizes);
     print_sweep("conv2d (event-driven vs im2col + dense GEMM routes)", &conv_sweep.points);
@@ -1027,6 +1104,7 @@ fn main() {
         int8_gemm,
         lif_step: lif,
         int8_lif_row: lif_row,
+        maxpool,
         density_sweep: DensitySweep {
             sparsities_pct: SWEEP_SPARSITIES.to_vec(),
             conv2d: conv_sweep,

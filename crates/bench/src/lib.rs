@@ -46,7 +46,11 @@ use snn_dse::ExperimentProfile;
 /// v8: top-level `int8_lif_row` — ns per neuron of the int8 LIF row
 /// step at conv1's row shape, certified and fallback rows, next to the
 /// f32 LIF step over the same neuron count.
-pub const BENCH_SCHEMA_VERSION: u32 = 8;
+///
+/// v9: top-level `maxpool` — ns per input of the 2×2 / stride-2 max
+/// pool at pool1's and pool2's input sides, `u8` and `f32`, with
+/// `u8_vs_f32`.
+pub const BENCH_SCHEMA_VERSION: u32 = 9;
 
 /// Schema version of `BENCH_serve.json`, split from the kernel track
 /// at v6 so the two report families can evolve independently.

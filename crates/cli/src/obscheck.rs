@@ -322,7 +322,7 @@ pub fn check_log(text: &str) -> Result<usize, String> {
 /// with `snn_bench::BENCH_SCHEMA_VERSION` by hand — the CLI stays
 /// below the bench crate in the dependency order, and a version drift
 /// is exactly what this check exists to catch.
-pub const BENCH_KERNELS_SCHEMA: f64 = 8.0;
+pub const BENCH_KERNELS_SCHEMA: f64 = 9.0;
 
 /// Validates a `BENCH_kernels.json` report and (optionally) gates on
 /// the event-driven conv2d speedup and the int8 GEMM speedup.
@@ -331,8 +331,10 @@ pub const BENCH_KERNELS_SCHEMA: f64 = 8.0;
 /// [`BENCH_KERNELS_SCHEMA`], a non-empty `git_commit`, an `int8_gemm`
 /// section with finite timings and a finite `int8_speedup`, an
 /// `int8_lif_row` section with finite per-neuron timings and ratios,
-/// and a `density_sweep` section whose `conv2d`, `conv2d_int8`, `gemm_nt`,
-/// `lif_step`, `forward` and `forward_direct` sweeps each carry one
+/// a `maxpool` section whose points each carry finite `u8` and `f32`
+/// per-input timings and `u8_vs_f32`, and a `density_sweep` section
+/// whose `conv2d`, `conv2d_int8`, `gemm_nt`, `lif_step`, `forward`
+/// and `forward_direct` sweeps each carry one
 /// point per entry of `sparsities_pct`, with finite timings and
 /// speedups (the int8 conv rows additionally need a finite
 /// `f32_dense_seconds` baseline).
@@ -403,6 +405,31 @@ pub fn check_bench_kernels(
                 }
             }
             _ => return Err(format!("int8_lif_row lacks finite `{required}`")),
+        }
+    }
+    let Some(serde::Value::Object(maxpool)) = get(fields, "maxpool") else {
+        return Err("missing `maxpool` object".into());
+    };
+    let Some(serde::Value::Array(pool_points)) = get(&maxpool, "points") else {
+        return Err("maxpool lacks `points`".into());
+    };
+    if pool_points.is_empty() {
+        return Err("maxpool.points is empty".into());
+    }
+    let mut pool_u8_vs_f32 = f64::NAN;
+    for (i, point) in pool_points.iter().enumerate() {
+        let Some(p) = point.as_object() else {
+            return Err(format!("maxpool.points[{i}] is not an object"));
+        };
+        for required in ["u8_ns_per_input", "f32_ns_per_input", "u8_vs_f32"] {
+            match get(p, required) {
+                Some(serde::Value::Number(v)) if v.is_finite() => {
+                    if i == 0 && required == "u8_vs_f32" {
+                        pool_u8_vs_f32 = v;
+                    }
+                }
+                _ => return Err(format!("maxpool.points[{i}] lacks finite `{required}`")),
+            }
         }
     }
     let Some(serde::Value::Object(sweep)) = get(fields, "density_sweep") else {
@@ -482,7 +509,8 @@ pub fn check_bench_kernels(
     }
     Ok(format!(
         "schema {BENCH_KERNELS_SCHEMA}, commit {}, conv2d event speedup {conv_90:.2}x at 90% \
-         sparsity, int8 GEMM {int8_speedup:.2}x over f32, int8 LIF row {lif_row_ns:.2} ns/neuron",
+         sparsity, int8 GEMM {int8_speedup:.2}x over f32, int8 LIF row {lif_row_ns:.2} ns/neuron, \
+         u8 max pool {pool_u8_vs_f32:.2}x over f32",
         &commit[..commit.len().min(12)]
     ))
 }
@@ -819,6 +847,9 @@ mod tests {
              \"int8_lif_row\":{{\"certified_ns_per_neuron\":0.9,\
              \"fallback_ns_per_neuron\":12.5,\"f32_ns_per_neuron\":0.4,\
              \"fallback_vs_certified\":13.9,\"certified_vs_f32\":0.44}},\
+             \"maxpool\":{{\"items\":16,\"channels\":32,\"points\":[\
+             {{\"side\":16,\"u8_ns_per_input\":0.004,\"f32_ns_per_input\":0.02,\"u8_vs_f32\":5.0}},\
+             {{\"side\":8,\"u8_ns_per_input\":0.006,\"f32_ns_per_input\":0.021,\"u8_vs_f32\":3.5}}]}},\
              \"density_sweep\":{{\
              \"sparsities_pct\":[50,90],{},{},{},{},{},{}}}}}",
             section("conv2d"),
@@ -836,15 +867,15 @@ mod tests {
 
     #[test]
     fn validates_bench_kernels_report() {
-        let good = bench_report("8", "2.5");
+        let good = bench_report("9", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("2.50x"), "summary was `{summary}`");
         check_bench_kernels(&good, Some(1.5), None).unwrap();
         assert!(check_bench_kernels(&good, Some(3.0), None).is_err(), "below gate");
-        assert!(check_bench_kernels(&bench_report("7", "2.5"), None, None).is_err(), "old schema");
+        assert!(check_bench_kernels(&bench_report("8", "2.5"), None, None).is_err(), "old schema");
         assert!(check_bench_kernels("not json", None, None).is_err());
         assert!(check_bench_kernels("{}", None, None).is_err(), "missing everything");
-        let no_90 = bench_report("8", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
+        let no_90 = bench_report("9", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
         assert!(check_bench_kernels(&no_90, None, None).is_err(), "no 90% point");
         let no_direct = good.replace("\"forward_direct\"", "\"forward_indirect\"");
         assert!(check_bench_kernels(&no_direct, None, None).is_err(), "missing forward_direct");
@@ -852,7 +883,7 @@ mod tests {
 
     #[test]
     fn gates_and_validates_int8_rows() {
-        let good = bench_report_gated("8", "2.5", "1.35");
+        let good = bench_report_gated("9", "2.5", "1.35");
         let summary = check_bench_kernels(&good, None, Some(1.2)).unwrap();
         assert!(summary.contains("1.35x"), "summary was `{summary}`");
         assert!(
@@ -873,7 +904,7 @@ mod tests {
 
     #[test]
     fn requires_the_int8_lif_row_section() {
-        let good = bench_report("8", "2.5");
+        let good = bench_report("9", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("0.90 ns/neuron"), "summary was `{summary}`");
         let missing = good.replace("\"int8_lif_row\"", "\"int8_lif_rows\"");
@@ -881,6 +912,21 @@ mod tests {
         let no_field = good.replace("\"fallback_ns_per_neuron\"", "\"fallback_ns\"");
         assert!(check_bench_kernels(&no_field, None, None).is_err(), "missing fallback timing");
         let bad = good.replace("\"certified_vs_f32\":0.44", "\"certified_vs_f32\":null");
+        assert!(check_bench_kernels(&bad, None, None).is_err(), "non-numeric ratio");
+    }
+
+    #[test]
+    fn requires_the_maxpool_section() {
+        let good = bench_report("9", "2.5");
+        let summary = check_bench_kernels(&good, None, None).unwrap();
+        assert!(summary.contains("u8 max pool 5.00x"), "summary was `{summary}`");
+        let missing = good.replace("\"maxpool\"", "\"max_pool\"");
+        assert!(check_bench_kernels(&missing, None, None).is_err(), "missing maxpool");
+        let no_points = good.replace("\"points\":[{\"side\"", "\"rows\":[{\"side\"");
+        assert!(check_bench_kernels(&no_points, None, None).is_err(), "missing points");
+        let no_field = good.replace("\"f32_ns_per_input\":0.021", "\"f32_ns\":0.021");
+        assert!(check_bench_kernels(&no_field, None, None).is_err(), "missing f32 timing");
+        let bad = good.replace("\"u8_vs_f32\":3.5", "\"u8_vs_f32\":null");
         assert!(check_bench_kernels(&bad, None, None).is_err(), "non-numeric ratio");
     }
 

@@ -32,8 +32,10 @@
 //! row kernels shaped for the autovectorizer: [`Rescale::apply_row`]
 //! and [`FixedLif::step_row_certified`], whose branch-free LIF takes
 //! the previous spike and the reset mode as integer masks. Max pooling
-//! is [`snn_tensor::pool::maxpool_into`], the window loop the f32
-//! network uses too.
+//! is [`snn_tensor::pool::maxpool_into`], the function the f32 network
+//! uses too; at the paper's 2×2 / stride-2 shape it pools `u8` a row
+//! pair at a time in order-free lane blocks (an equal `u8` maximum is
+//! the same bits wherever it came from).
 //!
 //! **Certified LIF steps.** The LIF kernel adds on wrapping `i32`
 //! lanes, exact only while [`FixedLif::certify`] accepts magnitude

@@ -607,18 +607,21 @@ fn pool_max(g: &Pool2dGeometry, xi: &[u8], c: usize, pos: usize) -> u8 {
     best
 }
 
-/// Builds one of the reference topologies over a `channels`×8×8
-/// input. Topologies 2–4 open with a static prefix (pool, flatten, or
-/// pool then flatten) before the first spiking stage.
+/// Builds one of the reference topologies over a
+/// `channels`×`side`×`side` input. Topologies 2–4 open with a static
+/// prefix (pool, flatten, or pool then flatten) before the first
+/// spiking stage. At `side` 16 the first pool's rows are 16 wide, the
+/// width of the `u8` row-pair kernel's 8-output block.
 fn topology(
     kind: usize,
     channels: usize,
+    side: usize,
     filters: usize,
     classes: usize,
     seed: u64,
     lif: LifConfig,
 ) -> SpikingNetwork {
-    let b = SpikingNetwork::builder(Shape::d3(channels, 8, 8), seed);
+    let b = SpikingNetwork::builder(Shape::d3(channels, side, side), seed);
     let b = match kind {
         0 => b.conv(filters, 3, 1, 1, lif).unwrap().maxpool(2).unwrap().flatten().unwrap(),
         1 => b
@@ -639,17 +642,19 @@ proptest! {
 
     /// `QuantNetwork` equals the naive reference exactly — counts and
     /// every observed activation slice at every (timestep, stage) —
-    /// across topologies with and without a static prefix, both reset
-    /// modes, {1, 4} threads and both convolution routes. The runtime
-    /// computes time-invariant work once per batch; the reference
-    /// recomputes it every step, so any drift shows here.
+    /// across topologies with and without a static prefix, 8×8 and
+    /// 16×16 inputs, both reset modes, {1, 4} threads and both
+    /// convolution routes. The runtime computes time-invariant work
+    /// once per batch; the reference recomputes it every step, so any
+    /// drift shows here.
     #[test]
     fn quantized_forward_matches_naive_reference(
-        kind in 0usize..5, channels in 1usize..3, filters in 2usize..5,
+        kind in 0usize..5, channels in 1usize..3, wide in any::<bool>(), filters in 2usize..5,
         classes in 2usize..6, seed in 0u64..500, timesteps in 1usize..5,
         batch in 1usize..5, zero_reset in any::<bool>(),
         beta_pct in 25u32..76, theta_pct in 10u32..60,
     ) {
+        let side = if wide { 16 } else { 8 };
         // Untrained weights at the paper's theta leave deep layers
         // nearly silent; lower thresholds keep every stage spiking.
         let lif = LifConfig {
@@ -658,11 +663,11 @@ proptest! {
             reset: if zero_reset { ResetMode::Zero } else { ResetMode::Subtract },
             ..LifConfig::paper_default()
         };
-        let net = topology(kind, channels, filters, classes, seed, lif);
+        let net = topology(kind, channels, side, filters, classes, seed, lif);
         let snap = NetworkSnapshot::from_network(&net);
         let items: Vec<Vec<f32>> = (0..batch)
             .map(|i| {
-                values(channels * 64, seed ^ (i as u64) << 8, 1.0)
+                values(channels * side * side, seed ^ (i as u64) << 8, 1.0)
                     .iter()
                     .map(|v| v.abs())
                     .collect()

@@ -1,4 +1,18 @@
 //! 2-D max pooling with argmax-routed backward pass.
+//!
+//! One forward, [`maxpool_into`], serves both dtypes: `f32` (training
+//! and the f32 engine) and `u8` (the integer runtime's level-coded
+//! input and binary spikes). The paper's 2×2 / stride-2 pool without
+//! an argmax, the inference case, runs one row pair at a time
+//! ([`PoolElem::pool_row_pair`]): output row `oy` from input rows
+//! `2·oy` and `2·oy + 1` in one pass. For `f32` that pass keeps each
+//! window's `(ky, kx)` strict-`>` chain, because the order decides
+//! which of `-0.0`/`+0.0` wins a tie and that NaN never does. For
+//! `u8` the order decides nothing (`>` is a total order and equal
+//! values have equal bits), so it takes the vertical max and then the
+//! horizontal pair max in fixed blocks that fill SIMD lanes. Every
+//! other geometry, and any call that records the argmax, runs the
+//! window loop.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,11 +92,42 @@ pub struct PoolForward {
 /// An activation type max pooling compares: `f32` in training and
 /// the f32 engine, `u8` (level-coded input or binary spikes) in the
 /// integer runtime.
+///
+/// Both pool to each window's first strict-`>` maximum in `(ky, kx)`
+/// order. For `f32` the order is part of the result (`-0.0` and
+/// `+0.0` tie but differ in bits; NaN must never win), so its kernels
+/// compare in that order. For `u8` no order can show in the result,
+/// so its 2×2 kernel is free to reorder the taps.
 pub trait PoolElem: Copy + PartialOrd + Send + Sync {
     /// The value every window starts from. A window whose elements
     /// never compare greater (NaN or `-inf` for `f32`, all zeros for
     /// `u8`) pools to it.
     const FLOOR: Self;
+
+    /// Pools one output row of a 2×2 window at stride 2: `out[ox]` is
+    /// the max of `a[2·ox]`, `a[2·ox + 1]`, `b[2·ox]` and `b[2·ox + 1]`,
+    /// where `a` and `b` are the window's two input rows.
+    ///
+    /// The default body compares the chain `FLOOR → a0 → a1 → b0 → b1`
+    /// with strict `>`, the window's `(ky, kx)` order, so it returns
+    /// exactly what the window loop does, signed-zero ties and NaN
+    /// included. `f32` needs that order: `-0.0` and `+0.0` compare
+    /// equal but differ in bits, so the first one wins, and a NaN
+    /// never wins from any position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is shorter than `2 · out.len()`.
+    #[inline]
+    fn pool_row_pair(a: &[Self], b: &[Self], out: &mut [Self]) {
+        let (a, b) = (&a[..2 * out.len()], &b[..2 * out.len()]);
+        let taps = a.chunks_exact(2).zip(b.chunks_exact(2));
+        for (o, (a, b)) in out.iter_mut().zip(taps) {
+            *o = [a[0], a[1], b[0], b[1]]
+                .into_iter()
+                .fold(Self::FLOOR, |best, v| if v > best { v } else { best });
+        }
+    }
 }
 
 impl PoolElem for f32 {
@@ -91,6 +136,45 @@ impl PoolElem for f32 {
 
 impl PoolElem for u8 {
     const FLOOR: u8 = 0;
+
+    /// The order-free form: `>` on `u8` is a total order and equal
+    /// values have equal bits, so a window's max is the same whatever
+    /// order its taps are compared in, and `max(v, 0) = v` makes the
+    /// floor a no-op. The row runs in blocks of 8 outputs, then one of
+    /// 4 (pool2's 8-wide rows), then single outputs; see
+    /// [`u8_pair_block`].
+    #[inline]
+    fn pool_row_pair(a: &[u8], b: &[u8], out: &mut [u8]) {
+        let ow = out.len();
+        let mut ox = 0;
+        while ox + 8 <= ow {
+            u8_pair_block::<8>(&a[2 * ox..], &b[2 * ox..], &mut out[ox..]);
+            ox += 8;
+        }
+        if ox + 4 <= ow {
+            u8_pair_block::<4>(&a[2 * ox..], &b[2 * ox..], &mut out[ox..]);
+            ox += 4;
+        }
+        for ox in ox..ow {
+            u8_pair_block::<1>(&a[2 * ox..], &b[2 * ox..], &mut out[ox..]);
+        }
+    }
+}
+
+/// `N` outputs of [`PoolElem::pool_row_pair`] for `u8`: the vertical
+/// max of `2·N` input bytes, read as `N` little-endian `u16` lanes
+/// (`w & 0xff` is a window's left column, `w >> 8` its right), then
+/// each lane's larger byte, narrowed back to `u8`. At a fixed `N` the
+/// compiler keeps the whole block in one vector register; on SSE2 it
+/// is two loads, a byte max, a mask and a shift, two narrowing packs,
+/// a byte max and one store.
+#[inline(always)]
+fn u8_pair_block<const N: usize>(a: &[u8], b: &[u8], out: &mut [u8]) {
+    let (a, b, out) = (&a[..2 * N], &b[..2 * N], &mut out[..N]);
+    for (i, o) in out.iter_mut().enumerate() {
+        let w = u16::from_le_bytes([a[2 * i].max(b[2 * i]), a[2 * i + 1].max(b[2 * i + 1])]);
+        *o = (w & 0xff).max(w >> 8) as u8;
+    }
 }
 
 /// Max-pools a `[N, C, H, W]` batch.
@@ -140,6 +224,12 @@ pub fn maxpool2d_forward(
 /// nothing beats points at its channel's first element. The pooled
 /// values are the same whether or not `argmax` is recorded.
 ///
+/// A 2×2 window at stride 2 with an empty `argmax` runs one
+/// [`PoolElem::pool_row_pair`] per output row: `f32` on the ordered
+/// chain above, `u8` in order-free lane blocks, whose result is the
+/// same because equal `u8` maxima are indistinguishable. Everything
+/// else runs the window loop.
+///
 /// # Panics
 ///
 /// Panics if `x` and `out` hold different item counts for `g`, or
@@ -160,14 +250,31 @@ pub fn maxpool_into<T: PoolElem>(g: &Pool2dGeometry, x: &[T], out: &mut [T], arg
     par::for_each_block2(out, item_out, argmax, argmax_granule, min_items, |item0, oblock, ablock| {
         let xblock = &x[item0 * item_in..][..oblock.len() / item_out * item_in];
         let base = item0 * item_in;
-        // The paper's pools are 2×2 windows at stride 2. Naming that
-        // shape lets the compiler unroll the window; every other shape
-        // runs the same loop with its sizes read at run time.
+        // The paper's pools are 2×2 windows at stride 2: inference takes
+        // them a row pair at a time, and training's argmax pass names
+        // the shape so the compiler unrolls the window. Every other
+        // shape runs the same loop with its sizes read at run time.
         match (g.kernel, g.stride) {
+            (2, 2) if ablock.is_empty() => pair_rows(g, xblock, oblock),
             (2, 2) => window_rows(2, 2, g, xblock, oblock, ablock, base),
             (k, s) => window_rows(k, s, g, xblock, oblock, ablock, base),
         }
     });
+}
+
+/// The 2×2, stride-2 forward of [`maxpool_into`] without an argmax,
+/// over whole channel planes: output row `oy` of each plane from input
+/// rows `2·oy` and `2·oy + 1`. An odd last input row or column belongs
+/// to no window and is never read.
+fn pair_rows<T: PoolElem>(g: &Pool2dGeometry, x: &[T], out: &mut [T]) {
+    let (in_w, ow) = (g.in_w, g.out_w());
+    let planes = x.chunks_exact(g.in_h * in_w).zip(out.chunks_exact_mut(g.out_h() * ow));
+    for (xp, op) in planes {
+        for (rows, orow) in xp.chunks_exact(2 * in_w).zip(op.chunks_exact_mut(ow)) {
+            let (a, b) = rows.split_at(in_w);
+            T::pool_row_pair(a, b, orow);
+        }
+    }
 }
 
 /// The window loop of [`maxpool_into`] for a `k × k` window at stride

@@ -1,4 +1,5 @@
-//! Bitwise-exactness of the shared max-pool window loop.
+//! Bitwise-exactness of the shared max pool: the window loop and the
+//! 2×2 / stride-2 row-pair kernel.
 //!
 //! `maxpool2d_forward` (f32) and `maxpool_into` (f32 and u8) must
 //! equal a naive window scan exactly: each output is the first element
@@ -8,7 +9,9 @@
 //! NaN never wins, and that a window of only NaN and `-inf` pools to
 //! `-inf` with its argmax on the channel's first element. The suites
 //! compare values by bit pattern, with the argmax on and off, on one
-//! and four workers, with strides below, at and above the kernel.
+//! and four workers, with strides below, at and above the kernel, and
+//! at the 2×2 / stride-2 shape over rows wide enough for the row-pair
+//! kernel's 8- and 4-output `u8` blocks and its single-output tail.
 
 use proptest::prelude::*;
 
@@ -146,6 +149,23 @@ proptest! {
             .unwrap();
         let x = u8_values(n * channels * g.in_h * g.in_w, seed, binary);
         check_u8(&g, &x, n)?;
+    }
+
+    /// The 2×2 / stride-2 shape at widths 16–40: every row runs at
+    /// least one 8-output `u8` block, and the widths cover each mix of
+    /// 8-blocks, a 4-block and 1–3 single outputs. Odd widths and
+    /// heights drop the last column and row. Binary spikes, full-range
+    /// `u8` levels and the f32 palette, each with the argmax on and off.
+    #[test]
+    fn pool_2x2_matches_naive_scan_at_block_widths(
+        n in 1usize..18, channels in 1usize..3, in_h in 2usize..21, in_w in 16usize..41,
+        seed in 0u64..10_000,
+    ) {
+        let g = Pool2dGeometry::new(channels, 2, 2, in_h, in_w).unwrap();
+        let len = n * channels * in_h * in_w;
+        check_u8(&g, &u8_values(len, seed, true), n)?;
+        check_u8(&g, &u8_values(len, seed, false), n)?;
+        check_f32(&g, &f32_values(len, seed, &F32_PALETTE), n)?;
     }
 }
 
