@@ -25,6 +25,10 @@
 //!   pool2's input shapes, serial, on 5%-dense binary spikes: `u8`
 //!   (the integer runtime) against `f32` (the f32 engine), both
 //!   through `maxpool_into` without an argmax.
+//! * **Spike count** — the per-item nonzero counter every f32 layer
+//!   step runs on its output, serial, at conv1's output shape and
+//!   2/5/20/50% spike density, next to the per-item `filter().count()`
+//!   it replaced and the f32 in-place LIF step over the same neurons.
 //! * **Density sweep** — times the event-driven datapath against the
 //!   dense route at input sparsities 50/75/90/95/99%, serially, for
 //!   conv2d (dispatcher-forced routes, f32 and int8), `matmul_nt`'s
@@ -53,7 +57,7 @@ use snn_tensor::conv::{conv2d_forward_routed, conv2d_forward_with, Conv2dGeometr
 use snn_tensor::dispatch::{set_event_density_threshold, ConvRoute};
 use snn_tensor::pool::{maxpool_into, Pool2dGeometry};
 use snn_tensor::qmat::{qconv2d_forward_routed, qgemm_into, transpose_i8, QConvScratch};
-use snn_tensor::spike::TouchMask;
+use snn_tensor::spike::{count_nonzero_rows, TouchMask};
 use snn_tensor::{linalg, par, Shape, Tensor};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -63,6 +67,9 @@ const POOL_SIDES: [usize; 2] = [16, 8];
 
 /// Spike density (%) of the max-pool section's inputs.
 const POOL_DENSITY_PCT: u64 = 5;
+
+/// Spike densities (%) of the spike-count section's inputs.
+const SPIKE_COUNT_DENSITIES_PCT: [u64; 4] = [2, 5, 20, 50];
 
 /// Input sparsities (zero fraction, %) swept by the density section.
 const SWEEP_SPARSITIES: [u64; 5] = [50, 75, 90, 95, 99];
@@ -85,7 +92,7 @@ fn spike_tensor(shape: Shape, seed: u64, density_pct: u64) -> Tensor {
 }
 
 fn measured_density(t: &Tensor) -> f64 {
-    t.as_slice().iter().filter(|&&v| v != 0.0).count() as f64 / t.len() as f64
+    t.count_nonzero() as f64 / t.len() as f64
 }
 
 /// Pseudorandom symmetric `i8` weights in `[-109, 109]` — the shape a
@@ -393,6 +400,33 @@ struct MaxpoolPoint {
     u8_vs_f32: f64,
 }
 
+/// Per-item spike counting over `items × channels × side × side`
+/// binary maps, serial.
+#[derive(Serialize)]
+struct SpikeCountBench {
+    items: usize,
+    channels: usize,
+    side: usize,
+    elements: usize,
+    /// f32 `lif_step_in_place` over `elements` neurons, for scale.
+    lif_ns_per_element: f64,
+    /// One point per entry of [`SPIKE_COUNT_DENSITIES_PCT`].
+    points: Vec<SpikeCountPoint>,
+}
+
+#[derive(Serialize)]
+struct SpikeCountPoint {
+    density_pct: u64,
+    input_density: f64,
+    /// `spike::count_nonzero_rows`, one count per item.
+    ns_per_element: f64,
+    /// `filter(|&&v| v != 0.0).count()` per item: the scan the lane
+    /// counter replaced.
+    naive_ns_per_element: f64,
+    /// `naive_ns_per_element / ns_per_element`.
+    lanes_vs_naive: f64,
+}
+
 #[derive(Serialize)]
 struct KernelReport {
     /// Report layout version ([`snn_bench::BENCH_SCHEMA_VERSION`]).
@@ -412,6 +446,7 @@ struct KernelReport {
     lif_step: LifBench,
     int8_lif_row: Int8LifRowBench,
     maxpool: MaxpoolBench,
+    spike_count: SpikeCountBench,
     density_sweep: DensitySweep,
     /// Snapshots of the global `snn_span_*` histograms the kernels
     /// recorded into while being timed — per-call latency
@@ -426,6 +461,7 @@ struct Sizes {
     lif: (usize, usize, usize),         // items, channels, plane-side
     lif_row: (usize, usize, usize),     // items, channels, row length
     pool: (usize, usize),               // items, channels
+    count: (usize, usize, usize),       // items, channels, side
     fwd: (usize, usize, usize, usize),  // in_ch, img, filters, timesteps
     fwd_batch: usize,
     direct: (usize, usize, usize),      // img, batch, timesteps
@@ -437,6 +473,7 @@ const FULL: Sizes = Sizes {
     lif: (64, 32, 16),
     lif_row: (16, 32, 256),
     pool: (16, 32),
+    count: (16, 32, 16),
     fwd: (2, 16, 16, 8),
     fwd_batch: 8,
     direct: (16, 16, 3),
@@ -448,6 +485,7 @@ const SMOKE: Sizes = Sizes {
     lif: (8, 16, 8),
     lif_row: (4, 8, 64),
     pool: (4, 8),
+    count: (4, 8, 8),
     fwd: (2, 8, 8, 4),
     fwd_batch: 2,
     direct: (8, 2, 3),
@@ -620,6 +658,47 @@ fn bench_maxpool(reps: usize, sz: &Sizes) -> MaxpoolBench {
         })
         .collect();
     MaxpoolBench { items, channels, spike_density_pct: POOL_DENSITY_PCT, points }
+}
+
+fn bench_spike_count(reps: usize, sz: &Sizes) -> SpikeCountBench {
+    let (items, channels, side) = sz.count;
+    let shape = Shape::d4(items, channels, side, side);
+    let elements = shape.len();
+    let row = elements / items;
+    let ns_per_element = |seconds: f64| seconds / elements as f64 * 1e9;
+    let mut counts = Vec::with_capacity(items);
+    let points = SPIKE_COUNT_DENSITIES_PCT
+        .iter()
+        .map(|&pct| {
+            let x = spike_tensor(shape, 83 + pct, pct);
+            let lanes = ns_per_element(time_serial(reps, || {
+                count_nonzero_rows(x.as_slice(), items, &mut counts);
+                std::hint::black_box(&counts);
+            }));
+            let naive = ns_per_element(time_serial(reps, || {
+                counts.clear();
+                let rows = x.as_slice().chunks_exact(row);
+                counts.extend(rows.map(|r| r.iter().filter(|&&v| v != 0.0).count() as u32));
+                std::hint::black_box(&counts);
+            }));
+            SpikeCountPoint {
+                density_pct: pct,
+                input_density: measured_density(&x),
+                ns_per_element: lanes,
+                naive_ns_per_element: naive,
+                lanes_vs_naive: naive / lanes,
+            }
+        })
+        .collect();
+    let cfg = lif_config();
+    let lif_shape = Shape::d2(items, row);
+    let input = lcg_tensor(lif_shape, 89, 1.0);
+    let membrane = lcg_tensor(lif_shape, 97, 0.6);
+    let mut state = LifState { membrane, prev_spikes: Tensor::zeros(lif_shape) };
+    let lif_ns_per_element = ns_per_element(time_serial(reps, || {
+        let _ = lif_step_in_place(&cfg, &mut state, &input);
+    }));
+    SpikeCountBench { items, channels, side, elements, lif_ns_per_element, points }
 }
 
 /// Conv density sweep: dispatcher-forced dense and event routes,
@@ -1063,6 +1142,23 @@ fn main() {
     }
     println!();
 
+    let spike_count = bench_spike_count(reps, &sizes);
+    println!(
+        "spike count per item, {}x{}x{}x{} (serial, ns per element; f32 lif_step {:.4}):",
+        spike_count.items,
+        spike_count.channels,
+        spike_count.side,
+        spike_count.side,
+        spike_count.lif_ns_per_element
+    );
+    for p in &spike_count.points {
+        println!(
+            "  {:>2}%  lanes {:.4}   naive {:.4}   lanes vs naive {:.2}x",
+            p.density_pct, p.ns_per_element, p.naive_ns_per_element, p.lanes_vs_naive
+        );
+    }
+    println!();
+
     println!("=== density sweep: event-driven vs dense routes, serial ===\n");
     let conv_sweep = sweep_conv(reps, &sizes);
     print_sweep("conv2d (event-driven vs im2col + dense GEMM routes)", &conv_sweep.points);
@@ -1105,6 +1201,7 @@ fn main() {
         lif_step: lif,
         int8_lif_row: lif_row,
         maxpool,
+        spike_count,
         density_sweep: DensitySweep {
             sparsities_pct: SWEEP_SPARSITIES.to_vec(),
             conv2d: conv_sweep,

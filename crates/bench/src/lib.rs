@@ -50,7 +50,13 @@ use snn_dse::ExperimentProfile;
 /// v9: top-level `maxpool` — ns per input of the 2×2 / stride-2 max
 /// pool at pool1's and pool2's input sides, `u8` and `f32`, with
 /// `u8_vs_f32`.
-pub const BENCH_SCHEMA_VERSION: u32 = 9;
+///
+/// v10: top-level `spike_count` — ns per element of the per-item
+/// nonzero counter every f32 layer step runs, at conv1's output shape
+/// and 2/5/20/50% spike density, next to the `filter().count()` it
+/// replaced (`naive_ns_per_element`, `lanes_vs_naive`) and the f32
+/// LIF step (`lif_ns_per_element`).
+pub const BENCH_SCHEMA_VERSION: u32 = 10;
 
 /// Schema version of `BENCH_serve.json`, split from the kernel track
 /// at v6 so the two report families can evolve independently.

@@ -322,7 +322,7 @@ pub fn check_log(text: &str) -> Result<usize, String> {
 /// with `snn_bench::BENCH_SCHEMA_VERSION` by hand — the CLI stays
 /// below the bench crate in the dependency order, and a version drift
 /// is exactly what this check exists to catch.
-pub const BENCH_KERNELS_SCHEMA: f64 = 9.0;
+pub const BENCH_KERNELS_SCHEMA: f64 = 10.0;
 
 /// Validates a `BENCH_kernels.json` report and (optionally) gates on
 /// the event-driven conv2d speedup and the int8 GEMM speedup.
@@ -332,7 +332,10 @@ pub const BENCH_KERNELS_SCHEMA: f64 = 9.0;
 /// section with finite timings and a finite `int8_speedup`, an
 /// `int8_lif_row` section with finite per-neuron timings and ratios,
 /// a `maxpool` section whose points each carry finite `u8` and `f32`
-/// per-input timings and `u8_vs_f32`, and a `density_sweep` section
+/// per-input timings and `u8_vs_f32`, a `spike_count` section with a
+/// finite `lif_ns_per_element` and points that each carry finite
+/// `ns_per_element`, `naive_ns_per_element` and `lanes_vs_naive`, and
+/// a `density_sweep` section
 /// whose `conv2d`, `conv2d_int8`, `gemm_nt`, `lif_step`, `forward`
 /// and `forward_direct` sweeps each carry one
 /// point per entry of `sparsities_pct`, with finite timings and
@@ -410,28 +413,17 @@ pub fn check_bench_kernels(
     let Some(serde::Value::Object(maxpool)) = get(fields, "maxpool") else {
         return Err("missing `maxpool` object".into());
     };
-    let Some(serde::Value::Array(pool_points)) = get(&maxpool, "points") else {
-        return Err("maxpool lacks `points`".into());
+    let pool_required = ["u8_vs_f32", "u8_ns_per_input", "f32_ns_per_input"];
+    let pool_u8_vs_f32 = finite_points(&maxpool, "maxpool", &pool_required)?[0];
+    let Some(serde::Value::Object(count)) = get(fields, "spike_count") else {
+        return Err("missing `spike_count` object".into());
     };
-    if pool_points.is_empty() {
-        return Err("maxpool.points is empty".into());
+    match get(&count, "lif_ns_per_element") {
+        Some(serde::Value::Number(v)) if v.is_finite() => {}
+        _ => return Err("spike_count lacks finite `lif_ns_per_element`".into()),
     }
-    let mut pool_u8_vs_f32 = f64::NAN;
-    for (i, point) in pool_points.iter().enumerate() {
-        let Some(p) = point.as_object() else {
-            return Err(format!("maxpool.points[{i}] is not an object"));
-        };
-        for required in ["u8_ns_per_input", "f32_ns_per_input", "u8_vs_f32"] {
-            match get(p, required) {
-                Some(serde::Value::Number(v)) if v.is_finite() => {
-                    if i == 0 && required == "u8_vs_f32" {
-                        pool_u8_vs_f32 = v;
-                    }
-                }
-                _ => return Err(format!("maxpool.points[{i}] lacks finite `{required}`")),
-            }
-        }
-    }
+    let count_required = ["ns_per_element", "naive_ns_per_element", "lanes_vs_naive"];
+    let count_ns = finite_points(&count, "spike_count", &count_required)?[0];
     let Some(serde::Value::Object(sweep)) = get(fields, "density_sweep") else {
         return Err("missing `density_sweep` object".into());
     };
@@ -510,9 +502,45 @@ pub fn check_bench_kernels(
     Ok(format!(
         "schema {BENCH_KERNELS_SCHEMA}, commit {}, conv2d event speedup {conv_90:.2}x at 90% \
          sparsity, int8 GEMM {int8_speedup:.2}x over f32, int8 LIF row {lif_row_ns:.2} ns/neuron, \
-         u8 max pool {pool_u8_vs_f32:.2}x over f32",
+         u8 max pool {pool_u8_vs_f32:.2}x over f32, spike count {count_ns:.3} ns/element",
         &commit[..commit.len().min(12)]
     ))
+}
+
+/// Requires `section`'s `points` to be a non-empty array of objects
+/// in which every `required` field is a finite number, and returns the
+/// first point's values in `required` order. `name` labels errors.
+fn finite_points(
+    section: &[(String, serde::Value)],
+    name: &str,
+    required: &[&str],
+) -> Result<Vec<f64>, String> {
+    let get = |obj: &'_ [(String, serde::Value)], k: &str| {
+        obj.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone())
+    };
+    let Some(serde::Value::Array(points)) = get(section, "points") else {
+        return Err(format!("{name} lacks `points`"));
+    };
+    if points.is_empty() {
+        return Err(format!("{name}.points is empty"));
+    }
+    let mut first = Vec::new();
+    for (i, point) in points.iter().enumerate() {
+        let Some(p) = point.as_object() else {
+            return Err(format!("{name}.points[{i}] is not an object"));
+        };
+        for &field in required {
+            match get(p, field) {
+                Some(serde::Value::Number(v)) if v.is_finite() => {
+                    if i == 0 {
+                        first.push(v);
+                    }
+                }
+                _ => return Err(format!("{name}.points[{i}] lacks finite `{field}`")),
+            }
+        }
+    }
+    Ok(first)
 }
 
 /// Expected `schema_version` of `BENCH_serve.json`. Kept in sync with
@@ -850,6 +878,11 @@ mod tests {
              \"maxpool\":{{\"items\":16,\"channels\":32,\"points\":[\
              {{\"side\":16,\"u8_ns_per_input\":0.004,\"f32_ns_per_input\":0.02,\"u8_vs_f32\":5.0}},\
              {{\"side\":8,\"u8_ns_per_input\":0.006,\"f32_ns_per_input\":0.021,\"u8_vs_f32\":3.5}}]}},\
+             \"spike_count\":{{\"items\":16,\"lif_ns_per_element\":0.3,\"points\":[\
+             {{\"density_pct\":2,\"ns_per_element\":0.045,\"naive_ns_per_element\":0.3,\
+             \"lanes_vs_naive\":6.7}},\
+             {{\"density_pct\":50,\"ns_per_element\":0.046,\"naive_ns_per_element\":0.9,\
+             \"lanes_vs_naive\":19.6}}]}},\
              \"density_sweep\":{{\
              \"sparsities_pct\":[50,90],{},{},{},{},{},{}}}}}",
             section("conv2d"),
@@ -867,15 +900,15 @@ mod tests {
 
     #[test]
     fn validates_bench_kernels_report() {
-        let good = bench_report("9", "2.5");
+        let good = bench_report("10", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("2.50x"), "summary was `{summary}`");
         check_bench_kernels(&good, Some(1.5), None).unwrap();
         assert!(check_bench_kernels(&good, Some(3.0), None).is_err(), "below gate");
-        assert!(check_bench_kernels(&bench_report("8", "2.5"), None, None).is_err(), "old schema");
+        assert!(check_bench_kernels(&bench_report("9", "2.5"), None, None).is_err(), "old schema");
         assert!(check_bench_kernels("not json", None, None).is_err());
         assert!(check_bench_kernels("{}", None, None).is_err(), "missing everything");
-        let no_90 = bench_report("9", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
+        let no_90 = bench_report("10", "2.5").replace("\"sparsity_pct\":90", "\"sparsity_pct\":91");
         assert!(check_bench_kernels(&no_90, None, None).is_err(), "no 90% point");
         let no_direct = good.replace("\"forward_direct\"", "\"forward_indirect\"");
         assert!(check_bench_kernels(&no_direct, None, None).is_err(), "missing forward_direct");
@@ -883,7 +916,7 @@ mod tests {
 
     #[test]
     fn gates_and_validates_int8_rows() {
-        let good = bench_report_gated("9", "2.5", "1.35");
+        let good = bench_report_gated("10", "2.5", "1.35");
         let summary = check_bench_kernels(&good, None, Some(1.2)).unwrap();
         assert!(summary.contains("1.35x"), "summary was `{summary}`");
         assert!(
@@ -904,7 +937,7 @@ mod tests {
 
     #[test]
     fn requires_the_int8_lif_row_section() {
-        let good = bench_report("9", "2.5");
+        let good = bench_report("10", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("0.90 ns/neuron"), "summary was `{summary}`");
         let missing = good.replace("\"int8_lif_row\"", "\"int8_lif_rows\"");
@@ -917,7 +950,7 @@ mod tests {
 
     #[test]
     fn requires_the_maxpool_section() {
-        let good = bench_report("9", "2.5");
+        let good = bench_report("10", "2.5");
         let summary = check_bench_kernels(&good, None, None).unwrap();
         assert!(summary.contains("u8 max pool 5.00x"), "summary was `{summary}`");
         let missing = good.replace("\"maxpool\"", "\"max_pool\"");
@@ -927,6 +960,23 @@ mod tests {
         let no_field = good.replace("\"f32_ns_per_input\":0.021", "\"f32_ns\":0.021");
         assert!(check_bench_kernels(&no_field, None, None).is_err(), "missing f32 timing");
         let bad = good.replace("\"u8_vs_f32\":3.5", "\"u8_vs_f32\":null");
+        assert!(check_bench_kernels(&bad, None, None).is_err(), "non-numeric ratio");
+    }
+
+    #[test]
+    fn requires_the_spike_count_section() {
+        let good = bench_report("10", "2.5");
+        let summary = check_bench_kernels(&good, None, None).unwrap();
+        assert!(summary.contains("spike count 0.045 ns/element"), "summary was `{summary}`");
+        let missing = good.replace("\"spike_count\"", "\"spike_counts\"");
+        assert!(check_bench_kernels(&missing, None, None).is_err(), "missing spike_count");
+        let no_lif = good.replace("\"lif_ns_per_element\":0.3", "\"lif_ns\":0.3");
+        assert!(check_bench_kernels(&no_lif, None, None).is_err(), "missing LIF scale");
+        let no_points = good.replace("\"points\":[{\"density_pct\"", "\"rows\":[{\"density_pct\"");
+        assert!(check_bench_kernels(&no_points, None, None).is_err(), "missing points");
+        let no_field = good.replace("\"naive_ns_per_element\":0.9", "\"naive_ns\":0.9");
+        assert!(check_bench_kernels(&no_field, None, None).is_err(), "missing naive timing");
+        let bad = good.replace("\"lanes_vs_naive\":19.6", "\"lanes_vs_naive\":null");
         assert!(check_bench_kernels(&bad, None, None).is_err(), "non-numeric ratio");
     }
 

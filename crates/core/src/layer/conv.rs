@@ -37,6 +37,8 @@ pub struct SpikingConv2d {
     carry_u: Option<Tensor>,
     total_spikes: f64,
     neuron_steps: f64,
+    /// Output spikes of each batch item at the last step.
+    step_spikes: Vec<u32>,
     /// Reusable im2col / spike-index buffers; allocated once per
     /// sequence instead of once per timestep.
     scratch: ConvScratch,
@@ -100,6 +102,7 @@ impl SpikingConv2d {
             carry_u: None,
             total_spikes: 0.0,
             neuron_steps: 0.0,
+            step_spikes: Vec::new(),
             scratch: ConvScratch::new(),
             last_conv: None,
         }
@@ -119,6 +122,7 @@ impl SpikingConv2d {
         self.carry_u = None;
         self.total_spikes = 0.0;
         self.neuron_steps = 0.0;
+        self.step_spikes.clear();
         self.last_conv = None;
     }
 
@@ -177,8 +181,7 @@ impl SpikingConv2d {
         } else {
             lif_step_in_place(&self.lif, state, &current)
         };
-        // Spikes are exactly 0.0 or 1.0, so the count is their sum.
-        self.total_spikes += s.count_nonzero() as f64;
+        self.total_spikes += super::count_step_spikes(&s, &mut self.step_spikes);
         self.neuron_steps += s.len() as f64;
         // Tensors are copy-on-write, so caching clones of the spike and
         // membrane maps shares the underlying buffer (no data copies);
@@ -238,6 +241,10 @@ impl SpikingConv2d {
     pub(crate) fn zero_grads(&mut self) {
         self.grad_weight.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+
+    pub(crate) fn step_spikes(&self) -> &[u32] {
+        &self.step_spikes
     }
 
     pub(crate) fn activity(&self) -> LayerActivity {

@@ -35,6 +35,8 @@ pub struct SpikingDense {
     carry_u: Option<Tensor>,
     total_spikes: f64,
     neuron_steps: f64,
+    /// Output spikes of each batch item at the last step.
+    step_spikes: Vec<u32>,
     /// `weightᵀ` for the forward GEMM; kept across sequences.
     transposed: Option<TransposeMemo>,
 }
@@ -88,6 +90,7 @@ impl SpikingDense {
             carry_u: None,
             total_spikes: 0.0,
             neuron_steps: 0.0,
+            step_spikes: Vec::new(),
             transposed: None,
         }
     }
@@ -106,6 +109,7 @@ impl SpikingDense {
         self.carry_u = None;
         self.total_spikes = 0.0;
         self.neuron_steps = 0.0;
+        self.step_spikes.clear();
     }
 
     pub(crate) fn end_sequence(&mut self) {
@@ -130,8 +134,7 @@ impl SpikingDense {
         let state = self.state.get_or_insert_with(|| LifState::new(out_shape));
         assert_eq!(state.membrane.shape(), out_shape, "batch size changed mid-sequence");
         let s = lif_step_in_place(&self.lif, state, &current);
-        // Spikes are exactly 0.0 or 1.0, so the count is their sum.
-        self.total_spikes += s.count_nonzero() as f64;
+        self.total_spikes += super::count_step_spikes(&s, &mut self.step_spikes);
         self.neuron_steps += s.len() as f64;
         // Tensors are copy-on-write, so caching clones of the spike and
         // membrane maps shares the underlying buffer (no data copies);
@@ -198,6 +201,10 @@ impl SpikingDense {
     pub(crate) fn zero_grads(&mut self) {
         self.grad_weight.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+
+    pub(crate) fn step_spikes(&self) -> &[u32] {
+        &self.step_spikes
     }
 
     pub(crate) fn activity(&self) -> LayerActivity {

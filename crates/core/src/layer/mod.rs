@@ -16,6 +16,7 @@ pub use dense::SpikingDense;
 pub use flatten::Flatten;
 pub use pool::MaxPool2d;
 
+use snn_tensor::spike::count_nonzero_rows;
 use snn_tensor::{Shape, Tensor};
 
 /// A mutable view of one trainable parameter and its gradient
@@ -39,7 +40,8 @@ pub struct LayerActivity {
     /// Neurons per sample in this layer's output (0 for reshape-only
     /// layers).
     pub neurons: usize,
-    /// Total output spikes summed over batch items and timesteps.
+    /// Total output spikes summed over batch items and timesteps: the
+    /// nonzero outputs, which on binary spike maps is their sum.
     pub total_spikes: f64,
     /// Total neuron-timestep opportunities (`neurons × batch ×
     /// timesteps`).
@@ -60,6 +62,15 @@ impl LayerActivity {
     pub fn sparsity(&self) -> f64 {
         1.0 - self.firing_rate()
     }
+}
+
+/// Counts each batch item's nonzero values in one step's `output`
+/// into `counts` (cleared first, so the layer reuses one buffer) and
+/// returns their total for [`LayerActivity::total_spikes`]. This is
+/// the only pass over a layer's output that counts spikes.
+fn count_step_spikes(output: &Tensor, counts: &mut Vec<u32>) -> f64 {
+    count_nonzero_rows(output.as_slice(), output.shape().dim(0), counts);
+    counts.iter().map(|&c| u64::from(c)).sum::<u64>() as f64
 }
 
 /// A layer of a [`crate::SpikingNetwork`].
@@ -170,6 +181,20 @@ impl Layer {
             Layer::SpikingConv2d(l) => l.zero_grads(),
             Layer::SpikingDense(l) => l.zero_grads(),
             Layer::MaxPool2d(_) | Layer::Flatten(_) => {}
+        }
+    }
+
+    /// Nonzero outputs of each batch item at the last forward step,
+    /// the per-item split of that step's addition to
+    /// [`LayerActivity::total_spikes`]. Empty for [`Flatten`], a
+    /// reshape that counts no spikes of its own, and before the first
+    /// step of a sequence.
+    pub fn step_spikes(&self) -> &[u32] {
+        match self {
+            Layer::SpikingConv2d(l) => l.step_spikes(),
+            Layer::SpikingDense(l) => l.step_spikes(),
+            Layer::MaxPool2d(l) => l.step_spikes(),
+            Layer::Flatten(_) => &[],
         }
     }
 

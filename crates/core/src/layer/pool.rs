@@ -22,6 +22,8 @@ pub struct MaxPool2d {
     cached_batch: Vec<usize>,
     total_spikes: f64,
     neuron_steps: f64,
+    /// Nonzero outputs of each batch item at the last step.
+    step_spikes: Vec<u32>,
 }
 
 impl MaxPool2d {
@@ -35,6 +37,7 @@ impl MaxPool2d {
             cached_batch: Vec::new(),
             total_spikes: 0.0,
             neuron_steps: 0.0,
+            step_spikes: Vec::new(),
         }
     }
 
@@ -49,13 +52,17 @@ impl MaxPool2d {
         self.cached_batch.clear();
         self.total_spikes = 0.0;
         self.neuron_steps = 0.0;
+        self.step_spikes.clear();
     }
 
     pub(crate) fn forward_step(&mut self, input: &Tensor) -> Tensor {
         // Only backward reads the argmax, so inference skips it.
         let f = maxpool2d_forward(&self.geom, input, self.train)
             .expect("pool geometry validated");
-        self.total_spikes += f.output.sum();
+        // On spike maps the nonzero count is the spike count; on an
+        // analog input (a pool placed first) it counts nonzero
+        // outputs, not their intensity.
+        self.total_spikes += super::count_step_spikes(&f.output, &mut self.step_spikes);
         self.neuron_steps += f.output.len() as f64;
         if self.train {
             self.cached_argmax.push(f.argmax);
@@ -68,6 +75,10 @@ impl MaxPool2d {
         assert!(self.train, "backward_step requires a training-mode forward pass");
         maxpool2d_backward(&self.geom, self.cached_batch[t], &self.cached_argmax[t], grad_output)
             .expect("pool shapes validated in forward")
+    }
+
+    pub(crate) fn step_spikes(&self) -> &[u32] {
+        &self.step_spikes
     }
 
     pub(crate) fn activity(&self) -> LayerActivity {
@@ -93,6 +104,45 @@ mod tests {
         let y = l.forward_step(&x);
         assert_eq!(y.shape(), Shape::d4(1, 2, 2, 2));
         assert!(y.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
+    }
+
+    /// A pool placed first sees analog input: it counts nonzero
+    /// outputs, not their intensity. On a binary map the two agree.
+    #[test]
+    fn pool_first_network_counts_nonzero_outputs() {
+        let lif = crate::LifConfig::paper_default();
+        let mut net = crate::SpikingNetwork::builder(Shape::d3(1, 4, 4), 3)
+            .maxpool(2)
+            .unwrap()
+            .flatten()
+            .unwrap()
+            .dense(2, lif)
+            .unwrap()
+            .build()
+            .unwrap();
+        // Item 0's four windows peak at 0.25, 0.5, 0.0 and 0.75; item
+        // 1's only nonzero input is negative, so its windows peak at 0.
+        let mut x = vec![0.0f32; 32];
+        x[1] = 0.25;
+        x[6] = 0.5;
+        x[15] = 0.75;
+        x[16] = -0.5;
+        let analog = Tensor::from_vec(Shape::d4(2, 1, 4, 4), x).unwrap();
+        let mut pool_steps = Vec::new();
+        net.run_inference_observed(&[analog.clone(), analog.clone()], |_, name, _, spikes| {
+            if name == "pool1" {
+                pool_steps.push(spikes.to_vec());
+            }
+        });
+        assert_eq!(pool_steps, [[3, 0], [3, 0]]);
+        assert_eq!(net.activities()[0].total_spikes, 6.0, "not the intensity sum 3.0");
+
+        let binary = analog.map(|v| f32::from(v > 0.0));
+        net.run_inference(std::slice::from_ref(&binary));
+        let geom = Pool2dGeometry::new(1, 2, 2, 4, 4).unwrap();
+        let pooled = maxpool2d_forward(&geom, &binary, false).unwrap().output;
+        assert_eq!(net.activities()[0].total_spikes, pooled.sum());
+        assert_eq!(pooled.sum(), 3.0);
     }
 
     #[test]

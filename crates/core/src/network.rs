@@ -342,10 +342,20 @@ impl SpikingNetwork {
         input: &Tensor,
         mut observer: impl FnMut(&str, &Tensor, &Tensor),
     ) -> Tensor {
+        self.step_layers(input, |l, x, y| observer(l.name(), x, y))
+    }
+
+    /// One timestep through every layer, calling `observer` after each
+    /// with `(layer, input, output)`.
+    fn step_layers(
+        &mut self,
+        input: &Tensor,
+        mut observer: impl FnMut(&Layer, &Tensor, &Tensor),
+    ) -> Tensor {
         let mut x = input.clone();
         for l in &mut self.layers {
             let y = l.forward_step(&x);
-            observer(l.name(), &x, &y);
+            observer(l, &x, &y);
             x = y;
         }
         x
@@ -371,7 +381,7 @@ impl SpikingNetwork {
     /// Panics if `frames` is empty.
     pub fn run_sequence(&mut self, frames: &[Tensor], train: bool) -> SequenceOutput {
         let _span = snn_obs::span!("forward_seq");
-        self.sequence(frames, train, |_, _, _| {})
+        self.sequence(frames, train, |_, _, _, _| {})
     }
 
     /// Forward-only run of a whole sequence: no BPTT activation
@@ -387,8 +397,11 @@ impl SpikingNetwork {
 
     /// Like [`SpikingNetwork::run_inference`], but calls `observer`
     /// after every layer at every timestep with `(layer_index,
-    /// layer_name, output)` — the hook the serving engine uses for
-    /// per-request spike accounting.
+    /// layer_name, output, spikes)`, where `spikes` holds each batch
+    /// item's output spike count at that step
+    /// ([`Layer::step_spikes`]; empty for `flatten`) — the hook the
+    /// serving engine uses for per-request spike accounting, reading
+    /// the layer's own count instead of scanning `output` again.
     ///
     /// # Panics
     ///
@@ -396,7 +409,7 @@ impl SpikingNetwork {
     pub fn run_inference_observed(
         &mut self,
         frames: &[Tensor],
-        observer: impl FnMut(usize, &str, &Tensor),
+        observer: impl FnMut(usize, &str, &Tensor, &[u32]),
     ) -> SequenceOutput {
         self.sequence(frames, false, observer)
     }
@@ -404,13 +417,13 @@ impl SpikingNetwork {
     /// The sequence loop behind `run_sequence` and
     /// `run_inference_observed`: begins the sequence, steps every
     /// frame (calling `observer` after each layer with `(layer_index,
-    /// layer_name, output)`), sums the output spikes and ends the
-    /// sequence.
+    /// layer_name, output, spikes)`), sums the output spikes and ends
+    /// the sequence.
     fn sequence(
         &mut self,
         frames: &[Tensor],
         train: bool,
-        mut observer: impl FnMut(usize, &str, &Tensor),
+        mut observer: impl FnMut(usize, &str, &Tensor, &[u32]),
     ) -> SequenceOutput {
         assert!(!frames.is_empty(), "a sequence requires at least one frame");
         self.begin_sequence(train);
@@ -418,8 +431,8 @@ impl SpikingNetwork {
         let mut counts = Tensor::zeros(Shape::d2(batch, self.classes));
         for f in frames {
             let mut li = 0;
-            let s = self.forward_step_observed(f, |name, _, y| {
-                observer(li, name, y);
+            let s = self.step_layers(f, |l, _, y| {
+                observer(li, l.name(), y, l.step_spikes());
                 li += 1;
             });
             counts.add_assign(&s).expect("output shape invariant");
@@ -591,9 +604,20 @@ mod tests {
         let plain = a.run_sequence(&frames, false);
         let names = ["conv1", "pool1", "conv2", "pool2", "flatten", "fc1", "fc2"];
         let mut calls = 0usize;
-        let observed = b.run_inference_observed(&frames, |i, name, out| {
+        let observed = b.run_inference_observed(&frames, |i, name, out, spikes| {
             assert_eq!(name, names[i]);
             assert!(!out.is_empty());
+            if name == "flatten" {
+                assert!(spikes.is_empty());
+            } else {
+                let per_item = out.len() / 2;
+                let want: Vec<u32> = out
+                    .as_slice()
+                    .chunks(per_item)
+                    .map(|c| c.iter().filter(|&&v| v != 0.0).count() as u32)
+                    .collect();
+                assert_eq!(spikes, want.as_slice(), "{name}");
+            }
             calls += 1;
         });
         assert_eq!(plain.counts, observed.counts);

@@ -210,7 +210,7 @@ fn network_event_route_matches_dense_bitwise() {
         with_event_density_threshold(threshold, || {
             let mut net = build();
             let mut spikes: Vec<(usize, String, Vec<u32>)> = Vec::new();
-            let out = net.run_inference_observed(&frames, |t, name, s| {
+            let out = net.run_inference_observed(&frames, |t, name, s, _| {
                 spikes.push((t, name.to_string(), bits(s)));
             });
             (bits(&out.counts), spikes)

@@ -27,6 +27,7 @@ use serde::Serialize;
 use crate::registry::ServedModel;
 use snn_core::{SnapshotError, SpikingNetwork};
 use snn_quant::{classify_counts, QuantNetwork, StageMeta};
+use snn_tensor::spike::count_nonzero;
 use snn_tensor::{Shape, Tensor};
 
 /// Firing statistics of one layer for a single request.
@@ -175,7 +176,7 @@ impl InferenceEngine {
             .iter()
             .map(|item| {
                 assert_eq!(item.len(), item_len, "input length validated at submit");
-                item.iter().filter(|&&v| v != 0.0).count() as f64 / item_len as f64
+                count_nonzero(item) as f64 / item_len as f64
             })
             .collect();
 
@@ -199,12 +200,10 @@ impl InferenceEngine {
                 // recognises a repeated input and computes its current
                 // once per batch instead of once per timestep.
                 let frames = vec![batch; self.timesteps];
-                let out = net.run_inference_observed(&frames, |li, _, y| {
-                    // Spikes are exactly 0.0 or 1.0, so counting the
-                    // nonzeros gives the same f64 as summing them.
-                    tally(&mut spikes[li], y.as_slice(), |c| {
-                        c.iter().filter(|&&v| v != 0.0).count() as u32
-                    });
+                // Each layer counted its step's spikes per item; add
+                // those counts rather than scanning the output again.
+                let out = net.run_inference_observed(&frames, |li, _, _, counts| {
+                    tally(&mut spikes[li], counts.iter().copied());
                 });
                 (0..n)
                     .map(|i| {
@@ -216,8 +215,11 @@ impl InferenceEngine {
             Net::Int8(net) => {
                 let counts = net
                     .infer_batch_observed(items, self.timesteps, |si, _, acts, _| {
-                        // Sum in u32 (vectorizes), then widen once.
-                        tally(&mut spikes[si], acts, |c| c.iter().map(|&v| v as u32).sum());
+                        // Spikes are 0 or 1: sum each item's bytes in
+                        // u32 (vectorizes), then widen once.
+                        let per_item = acts.chunks_exact(acts.len() / n);
+                        let counts = per_item.map(|c| c.iter().map(|&v| u32::from(v)).sum());
+                        tally(&mut spikes[si], counts);
                     })
                     .expect("queue and HTTP layer validate inputs before dispatch");
                 counts
@@ -276,17 +278,12 @@ impl InferenceEngine {
     }
 }
 
-/// Adds each item's spike count in one layer's output `acts` (items
-/// stored back to back) to its row `acc`. Non-spiking layers have an
-/// empty row and are skipped. Every partial count is a small integer,
-/// exact in f64.
-fn tally<T>(acc: &mut [f64], acts: &[T], count: impl Fn(&[T]) -> u32) {
-    if acc.is_empty() {
-        return;
-    }
-    let per_item = acts.len() / acc.len();
-    for (a, chunk) in acc.iter_mut().zip(acts.chunks_exact(per_item)) {
-        *a += count(chunk) as f64;
+/// Adds one layer-step's per-item spike `counts` to the layer's row
+/// `acc`. Non-spiking layers have an empty row and are skipped. Every
+/// partial count is a small integer, exact in f64.
+fn tally(acc: &mut [f64], counts: impl Iterator<Item = u32>) {
+    for (a, c) in acc.iter_mut().zip(counts) {
+        *a += f64::from(c);
     }
 }
 

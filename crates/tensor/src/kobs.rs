@@ -51,7 +51,7 @@ impl DensityGauge {
             return;
         }
         let g = self.cell.get_or_init(|| snn_obs::global().gauge(self.name, self.help));
-        let nnz = data.iter().filter(|&&v| v != 0.0).count();
+        let nnz = crate::spike::count_nonzero(data);
         g.set(nnz as f64 / data.len() as f64);
     }
 }

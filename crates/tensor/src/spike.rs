@@ -21,6 +21,10 @@
 //! the *measured density* reading the sparsity-adaptive dispatcher
 //! ([`crate::dispatch`]) routes on, so the dense/event decision never
 //! relies on a hardcoded guess about the data.
+//!
+//! It also holds the one nonzero counter every spike count goes
+//! through: [`count_nonzero`] over a whole slice and
+//! [`count_nonzero_rows`] per batch item.
 
 /// Result of a [`SpikeTensor::build`] scan over one batch.
 ///
@@ -50,6 +54,62 @@ impl SpikeScan {
             self.nnz as f64 / self.len as f64
         }
     }
+}
+
+/// Elements counted per block before the count is widened to `usize`.
+/// A block's count is a `u32` sum of at most this many ones, so no
+/// lane of the vectorized sum can overflow, on slices of any length.
+const COUNT_BLOCK: usize = 1 << 30;
+
+/// Number of elements of `x` that are `!= 0.0`: `±0.0` is not counted;
+/// NaN, `±inf` and subnormals are.
+///
+/// Exactly `x.iter().filter(|&&v| v != 0.0).count()`, but summed in
+/// `u32` instead of `usize`: each block's sum vectorizes to four `u32`
+/// lanes per SSE2 register instead of two `usize` lanes, and is
+/// widened once per block.
+///
+/// # Examples
+///
+/// ```
+/// use snn_tensor::spike::count_nonzero;
+///
+/// assert_eq!(count_nonzero(&[0.0, 1.0, -0.0, f32::NAN, 0.5]), 3);
+/// ```
+pub fn count_nonzero(x: &[f32]) -> usize {
+    x.chunks(COUNT_BLOCK)
+        .map(|block| block.iter().map(|&v| u32::from(v != 0.0)).sum::<u32>() as usize)
+        .sum()
+}
+
+/// Writes the [`count_nonzero`] of each of `x`'s `rows` equal rows
+/// (batch items stored back to back) to `counts`, which is cleared
+/// first, so a caller-owned buffer is reused across calls.
+///
+/// # Panics
+///
+/// Panics if `x` does not split into `rows` equal rows, or if a row
+/// holds more than `u32::MAX` elements.
+///
+/// # Examples
+///
+/// ```
+/// use snn_tensor::spike::count_nonzero_rows;
+///
+/// let mut counts = Vec::new();
+/// count_nonzero_rows(&[1.0, 0.0, 1.0, 0.0, 0.0, 2.0], 2, &mut counts);
+/// assert_eq!(counts, [2, 1]);
+/// ```
+pub fn count_nonzero_rows(x: &[f32], rows: usize, counts: &mut Vec<u32>) {
+    counts.clear();
+    if rows == 0 {
+        assert!(x.is_empty(), "{} values do not split into zero rows", x.len());
+        return;
+    }
+    assert_eq!(x.len() % rows, 0, "{} values do not split into {rows} equal rows", x.len());
+    let row_len = x.len() / rows;
+    assert!(u32::try_from(row_len).is_ok(), "a row of {row_len} values overflows a u32 count");
+    counts.extend((0..rows).map(|i| count_nonzero(&x[i * row_len..][..row_len]) as u32));
 }
 
 /// CSR-style index of the active (1.0) positions of a binary batch.
@@ -265,6 +325,25 @@ impl TouchMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counts_match_the_comparison_on_special_values() {
+        let sub = f32::from_bits(1);
+        let v = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, sub, -sub, 1.0];
+        // Long enough for whole chunks plus a tail, in every rotation.
+        let x: Vec<f32> = v.iter().cycle().take(8 * 9 + 3).copied().collect();
+        for k in 0..v.len() {
+            let r = &x[k..];
+            assert_eq!(count_nonzero(r), r.iter().filter(|&&v| v != 0.0).count());
+        }
+        let mut counts = vec![99];
+        count_nonzero_rows(&x[..72], 9, &mut counts);
+        assert_eq!(counts, [6; 9]);
+        count_nonzero_rows(&[], 0, &mut counts);
+        assert!(counts.is_empty());
+        count_nonzero_rows(&[], 3, &mut counts);
+        assert_eq!(counts, [0; 3]);
+    }
 
     #[test]
     fn build_indexes_items_independently() {

@@ -240,9 +240,10 @@ impl Tensor {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
     }
 
-    /// Number of non-zero elements.
+    /// Number of non-zero elements (NaN counts, `±0.0` does not); see
+    /// [`crate::spike::count_nonzero`].
     pub fn count_nonzero(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
+        crate::spike::count_nonzero(&self.data)
     }
 
     /// Fraction of elements equal to zero (1.0 for an empty tensor).

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use snn_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dGeometry};
 use snn_tensor::pool::{maxpool2d_backward, maxpool2d_forward, Pool2dGeometry};
+use snn_tensor::spike::{count_nonzero, count_nonzero_rows};
 use snn_tensor::{linalg, Shape, Tensor};
 
 fn lcg_tensor(shape: Shape, seed: u64, scale: f32) -> Tensor {
@@ -138,5 +139,42 @@ proptest! {
         let t = lcg_tensor(Shape::d1(len), seed, 1.0).map(|v| f32::from(v > 0.2));
         let density = t.count_nonzero() as f64 / t.len() as f64;
         prop_assert!((t.sparsity() + density - 1.0).abs() < 1e-12);
+    }
+
+    /// The lane counter equals `filter(|&&v| v != 0.0).count()` on every
+    /// value class (`±0.0`, NaN, `±inf`, subnormals, spikes and analog
+    /// values) at every length, and its per-row form equals that scan
+    /// on each row, odd row lengths included.
+    #[test]
+    fn count_nonzero_matches_naive_scan(
+        len in 0usize..=300,
+        rows in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let sub = f32::from_bits(1);
+        let palette = [
+            0.0, -0.0, 1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, sub, -sub, -0.75,
+            f32::MIN_POSITIVE,
+        ];
+        let mut rng = seed | 1;
+        let x: Vec<f32> = (0..len)
+            .map(|_| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                palette[(rng >> 33) as usize % palette.len()]
+            })
+            .collect();
+        let naive = |v: &[f32]| v.iter().filter(|&&v| v != 0.0).count();
+        prop_assert_eq!(count_nonzero(&x), naive(&x));
+        let t = Tensor::from_vec(Shape::d1(x.len()), x.clone()).unwrap();
+        prop_assert_eq!(t.count_nonzero(), naive(&x));
+        // Round the length down to whole rows; any row length results.
+        let whole = &x[..x.len() / rows * rows];
+        let mut counts = vec![7; 3];
+        count_nonzero_rows(whole, rows, &mut counts);
+        prop_assert_eq!(counts.len(), rows);
+        let row_len = whole.len() / rows;
+        for (i, &c) in counts.iter().enumerate() {
+            prop_assert_eq!(c as usize, naive(&whole[i * row_len..(i + 1) * row_len]));
+        }
     }
 }

@@ -20,17 +20,15 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release --offline
 # Root-package integration suites (tier-1), plus the fast member-crate
 # suites for the serving stack, the accelerator simulator, the JSON
-# parser every snapshot and request body goes through, and the
-# bit-exactness suites (snn-quant, and snn-tensor's qmat_exactness,
-# event_exactness and pool_exactness alone). The remaining member
-# suites (the rest of tensor, data, dse, bench) are much slower —
-# dse's training sweeps alone take ~35 min on one core — and are left to
-# `cargo test --workspace` outside the gate.
+# parser every snapshot and request body goes through, the bit-exactness
+# suites of snn-quant, and the whole snn-tensor suite (lib unit tests,
+# the qmat/event/pool exactness files, par_exactness and proptests:
+# ~10 s with its build). The remaining member suites (data, dse, bench)
+# are much slower — dse's training sweeps alone take ~35 min on one
+# core — and are left to `cargo test --workspace` outside the gate.
 cargo test -q --offline
 cargo test -q --offline -p snn-core -p snn-serve -p snn-pool -p snn-cli -p snn-quant -p snn-accel -p serde_json
-cargo test -q --offline -p snn-tensor --test qmat_exactness
-cargo test -q --offline -p snn-tensor --test event_exactness
-cargo test -q --offline -p snn-tensor --test pool_exactness
+cargo test -q --offline -p snn-tensor
 # The benchmark (`perfbench/`, its own cargo workspace) links the
 # serving crates by path: build it and run its self-test so an API
 # change that breaks the benchmark fails here.
